@@ -53,18 +53,15 @@ from .mcsim import (
     SimConfig,
     SimOutcome,
     TruncationResult,
-    sample_point_process,
     simulate,
     truncation_radius,
 )
 from .numerics import (
     IntegralResult,
-    angular_closed_form,
     arctan_kernel,
     asinh_kernel,
     integrate_interval,
     integrate_semi_infinite,
-    kappa,
 )
 from .outage import log_divergence, outage_approx, outage_exact, relative_error
 from .shapes import (

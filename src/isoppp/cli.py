@@ -15,7 +15,8 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,30 +50,54 @@ def _add_shape_args(p):
     p.add_argument("--scenario-file", help="path to a JSON shape descriptor file")
 
 
-def _add_channel_args(p, default_c):
-    p.add_argument("--alpha", type=float, default=None, help="path-loss exponent")
-    p.add_argument("--c", type=float, default=default_c, help="path-loss constant")
-    p.add_argument(
-        "--fading", choices=["rayleigh", "unit"], default="rayleigh", help="fading law"
-    )
-
-
-def _add_link_args(p):
-    p.add_argument("--lambda", dest="lambda_scale", type=float, default=1e-3,
-                   help="intensity scale (nodes per unit area)")
-    p.add_argument("--y0", type=float, default=0.0, help="receiver offset from the centre")
-    p.add_argument("--d", type=float, default=10.0, help="link distance")
-    p.add_argument("--beta", type=float, default=1.0, help="SINR threshold")
-    p.add_argument("--eta-db", dest="eta_db", type=float, default=math.inf,
-                   help="mean SNR in dB ('inf' for a noise-free link)")
-
-
 def _add_output_args(p):
     p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--sweep", help="axis spec 'name=start:stop:step'")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for sweeps")
+
+
+def _link_options(default_c, *own):
+    """Options over a shape, a channel and a link, then (flag, keywords) pairs."""
+
+    def add(p):
+        _add_shape_args(p)
+        p.add_argument("--alpha", type=float, default=None, help="path-loss exponent")
+        p.add_argument("--c", type=float, default=default_c, help="path-loss constant")
+        p.add_argument(
+            "--fading", choices=["rayleigh", "unit"], default="rayleigh", help="fading law"
+        )
+        p.add_argument("--lambda", dest="lambda_scale", type=float, default=1e-3,
+                       help="intensity scale (nodes per unit area)")
+        p.add_argument("--y0", type=float, default=0.0, help="receiver offset from the centre")
+        p.add_argument("--d", type=float, default=10.0, help="link distance")
+        p.add_argument("--beta", type=float, default=1.0, help="SINR threshold")
+        p.add_argument("--eta-db", dest="eta_db", type=float, default=math.inf,
+                       help="mean SNR in dB ('inf' for a noise-free link)")
+        _add_output_args(p)
+        for flag, kwargs in own:
+            p.add_argument(flag, **kwargs)
+
+    return add
+
+
+def _fhds_options(p):
+    _add_shape_args(p)
+    p.add_argument("--d", type=float, default=10.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--m-gain", dest="m_gain", type=float, default=4.0, help="processing gain M")
+    _add_output_args(p)
+
+
+def _csma_options(p):
+    p.add_argument("--alpha", type=float, default=4.0)
+    p.add_argument("--lambda", dest="lambda_scale", type=float, default=1e-3)
+    p.add_argument("--d", type=float, default=10.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=None, help="sensing threshold (linear)")
+    p.add_argument("--delta-db", dest="delta_db", type=float, default=None,
+                   help="sensing threshold in dB")
+    _add_output_args(p)
 
 
 def _resolve_shape(args) -> shapes.ShapeFunction:
@@ -91,27 +116,15 @@ def _resolve_shape(args) -> shapes.ShapeFunction:
     return shapes.from_descriptor(descriptor)
 
 
-def _fading(name: str) -> FadingLaw:
-    return FadingLaw.rayleigh() if name == "rayleigh" else FadingLaw.unit()
-
-
-def _channel(args, alpha=None) -> ChannelModel:
-    a = alpha if alpha is not None else args.alpha
-    if a is None:
+def _channel(args) -> ChannelModel:
+    if args.alpha is None:
         raise DomainError("--alpha is required for this command")
-    return ChannelModel(alpha=a, c=args.c, fading=_fading(args.fading))
+    fading = FadingLaw.rayleigh() if args.fading == "rayleigh" else FadingLaw.unit()
+    return ChannelModel(alpha=args.alpha, c=args.c, fading=fading)
 
 
-def _link(args, **overrides) -> LinkConfig:
-    kwargs = {
-        "lambda_scale": args.lambda_scale,
-        "y0_norm": args.y0,
-        "d": args.d,
-        "beta": args.beta,
-        "eta_db": args.eta_db,
-    }
-    kwargs.update(overrides)
-    return LinkConfig(**kwargs)
+def _link(args) -> LinkConfig:
+    return LinkConfig(args.lambda_scale, args.y0, args.d, args.beta, args.eta_db)
 
 
 def _parse_axis(spec: str):
@@ -191,185 +204,108 @@ def _base_config(args, command: str, shape=None, extras=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sweep engine
+# command handlers: one table and one driver for the analytic commands
 # ---------------------------------------------------------------------------
 
 
-def _run_points(point_fn, values, axis: str, workers: int, value_columns: list):
-    """Evaluate one row per axis point; per-point failures land in the error
-    column and the run continues.  Output order follows the axis order."""
-
-    def one(v):
-        try:
-            return [*point_fn(v), ""]
-        except IsopppError as exc:
-            return [None] * len(value_columns) + [f"{type(exc).__name__}: {exc}"]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, values))
-    else:
-        results = [one(v) for v in values]
-    return [[v, *row] for v, row in zip(values, results)]
-
-
-def _single_or_sweep(args, command, shape, value_columns, point_fn, axes, extras=None):
-    """Shared driver: one row without --sweep, axis-ordered rows with it."""
-    config = _base_config(args, command, shape, extras)
-    if getattr(args, "sweep", None):
-        axis, values = _parse_axis(args.sweep)
-        if axis not in axes:
-            raise DomainError(f"command {command!r} cannot sweep axis {axis!r}; allowed: {sorted(axes)}")
-        rows = _run_points(lambda v: point_fn(**{axes[axis]: v}), values, axis, args.workers, value_columns)
-        _emit(config, [axis, *value_columns, "error"], rows, args)
-    else:
-        _emit(config, value_columns, [list(point_fn())], args)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# command handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_mean(args) -> int:
-    shape = _resolve_shape(args)
-    channel = _channel(args)
-
-    def point(y0=None, lam=None, **_):
-        y0 = args.y0 if y0 is None else y0
-        lam = args.lambda_scale if lam is None else lam
-        res = mean_interference(shape, channel, lam, y0, args.tol)
-        return [res.value, res.abs_error, res.converged]
-
-    return _single_or_sweep(
-        args, "mean", shape, ["value", "abs_error", "converged"], point,
-        axes={"y0": "y0", "lambda": "lam"},
-    )
-
-
-def _cmd_laplace(args) -> int:
-    shape = _resolve_shape(args)
-    channel = _channel(args)
-
-    def point(y0=None, s=None, lam=None, **_):
-        y0 = args.y0 if y0 is None else y0
-        s = args.s if s is None else s
-        lam = args.lambda_scale if lam is None else lam
-        return [laplace_transform(shape, channel, lam, y0, s, args.tol)]
-
-    return _single_or_sweep(
-        args, "laplace", shape, ["value"], point,
-        axes={"y0": "y0", "s": "s", "lambda": "lam"},
-        extras={"s": args.s},
-    )
-
-
-def _outage_like(args, command, fn) -> int:
-    shape = _resolve_shape(args)
-    channel = _channel(args)
-
-    def point(y0=None, d=None, beta=None, lam=None, **_):
-        link = _link(
-            args,
-            **{
-                k: v
-                for k, v in {
-                    "y0_norm": y0,
-                    "d": d,
-                    "beta": beta,
-                    "lambda_scale": lam,
-                }.items()
-                if v is not None
-            },
-        )
-        return [fn(shape, channel, link, args.tol)]
-
-    return _single_or_sweep(
-        args, command, shape, ["value"], point,
-        axes={"y0": "y0", "d": "d", "beta": "beta", "lambda": "lam"},
-    )
-
-
-def _cmd_outage(args) -> int:
-    return _outage_like(args, "outage", outage.outage_exact)
-
-
-def _cmd_divergence(args) -> int:
-    return _outage_like(args, "divergence", outage.log_divergence)
-
-
-def _cmd_relerror(args) -> int:
-    return _outage_like(args, "relerror", outage.relative_error)
-
-
-def _cmd_capacity(args) -> int:
-    shape = _resolve_shape(args)
-    channel = _channel(args)
-
-    def point(y0=None, d=None, beta=None, **_):
-        link = _link(
-            args,
-            **{k: v for k, v in {"y0_norm": y0, "d": d, "beta": beta}.items() if v is not None},
-        )
-        return [applications.local_transmission_capacity(shape, channel, link, args.epsilon, args.tol)]
-
-    return _single_or_sweep(
-        args, "capacity", shape, ["value"], point,
-        axes={"y0": "y0", "d": "d", "beta": "beta"},
-        extras={"epsilon": args.epsilon},
-    )
-
-
-def _cmd_fhds(args) -> int:
-    shape = _resolve_shape(args)
-
-    def point(m=None, d=None, beta=None, **_):
-        gain = applications.fh_ds_gain(
-            shape,
-            args.d if d is None else d,
-            args.beta if beta is None else beta,
-            args.m_gain if m is None else m,
-            args.tol,
-        )
-        return [gain.ratio, gain.asymptote]
-
-    return _single_or_sweep(
-        args, "fhds", shape, ["ratio", "asymptote"], point,
-        axes={"M": "m", "d": "d", "beta": "beta"},
-        extras={"m": args.m_gain},
-    )
-
-
-def _delta_linear(args) -> float:
+def _csma_setup(args):
+    """Resolve the linear threshold into args.delta; the shape is only echoed."""
     if args.delta is not None and args.delta_db is not None:
         raise DomainError("pass either --delta or --delta-db, not both")
-    if args.delta is not None:
-        return args.delta
-    if args.delta_db is not None:
-        return 10.0 ** (args.delta_db / 10.0)
-    raise DomainError("--delta or --delta-db is required")
+    if args.delta is None:
+        if args.delta_db is None:
+            raise DomainError("--delta or --delta-db is required")
+        args.delta = 10.0 ** (args.delta_db / 10.0)
+    return applications.csma_shape(args.delta, args.alpha), None
 
 
-def _cmd_csma(args) -> int:
-    delta = _delta_linear(args)
-    alpha = args.alpha if args.alpha is not None else 4.0
+def _mean_row(a, shape, channel):
+    res = mean_interference(shape, channel, a.lambda_scale, a.y0, a.tol)
+    return [res.value, res.abs_error, res.converged]
 
-    def point(d=None, delta_=None, beta=None, lam=None, **_):
-        dd = args.d if d is None else d
-        dl = delta if delta_ is None else delta_
-        bb = args.beta if beta is None else beta
-        ll = args.lambda_scale if lam is None else lam
-        lam_active = applications.csma_large_scale_density(ll, alpha, dl)
-        loss = applications.csma_accuracy_loss(ll, dl, dd, bb, args.tol, alpha=alpha)
-        return [lam_active, loss]
 
-    config_shape = applications.csma_shape(delta, alpha)
-    return _single_or_sweep(
-        args, "csma", config_shape, ["lambda_large_scale", "accuracy_loss"], point,
-        axes={"d": "d", "delta": "delta_", "beta": "beta", "lambda": "lam"},
-        extras={"delta": delta},
-    )
+def _csma_row(a, *_):
+    return [applications.csma_large_scale_density(a.lambda_scale, a.alpha, a.delta),
+            applications.csma_accuracy_loss(a.lambda_scale, a.delta, a.d, a.beta, a.tol,
+                                             alpha=a.alpha)]
+
+
+class _Command(NamedTuple):
+    """An analytic command.  Row functions look library names up when they
+    run, so a module attribute patched from outside (a tracer) takes effect."""
+
+    help: str
+    options: Callable  # adds the command's options to its parser
+    columns: list  # value columns of a row
+    axes: dict  # sweepable axis -> the argument a sweep point overrides
+    extras: dict  # config key echoed beyond the shared ones -> its argument
+    row: Callable  # (args, shape, channel) -> one row of values
+    setup: Callable = lambda a: (_resolve_shape(a), _channel(a))  # -> (shape, channel)
+
+
+_LINK_AXES = {"y0": "y0", "d": "d", "beta": "beta", "lambda": "lambda_scale"}
+
+COMMANDS = {
+    "mean": _Command(
+        "mean interference lambda * A_alpha(y0, c)", _link_options(1.0),
+        ["value", "abs_error", "converged"], {"y0": "y0", "lambda": "lambda_scale"}, {}, _mean_row),
+    "laplace": _Command(
+        "interference Laplace transform at s",
+        _link_options(1.0, ("--s", dict(type=float, default=1.0, help="transform variable"))),
+        ["value"], {"y0": "y0", "s": "s", "lambda": "lambda_scale"}, {"s": "s"},
+        lambda a, shape, ch: [laplace_transform(shape, ch, a.lambda_scale, a.y0, a.s, a.tol)]),
+    "outage": _Command(
+        "exact Rayleigh outage probability", _link_options(1.0), ["value"], _LINK_AXES, {},
+        lambda a, shape, ch: [outage.outage_exact(shape, ch, _link(a), a.tol)]),
+    "divergence": _Command(
+        "log-divergence of the local approximation", _link_options(0.0), ["value"], _LINK_AXES,
+        {}, lambda a, shape, ch: [outage.log_divergence(shape, ch, _link(a), a.tol)]),
+    "relerror": _Command(
+        "relative error of the local approximation", _link_options(0.0), ["value"], _LINK_AXES,
+        {}, lambda a, shape, ch: [outage.relative_error(shape, ch, _link(a), a.tol)]),
+    "capacity": _Command(
+        "local transmission capacity",
+        _link_options(0.0, ("--epsilon", dict(type=float, required=True,
+                                              help="outage budget in (0, 1)"))),
+        ["value"], {"y0": "y0", "d": "d", "beta": "beta"}, {"epsilon": "epsilon"},
+        lambda a, shape, ch: [applications.local_transmission_capacity(
+            shape, ch, _link(a), a.epsilon, a.tol)]),
+    "fhds": _Command(
+        "FH over DS CDMA capacity gain at the centre", _fhds_options, ["ratio", "asymptote"],
+        {"M": "m_gain", "d": "d", "beta": "beta"}, {"m": "m_gain"},
+        lambda a, shape, _: [*astuple(applications.fh_ds_gain(shape, a.d, a.beta, a.m_gain,
+                                                                a.tol))],
+        setup=lambda a: (_resolve_shape(a), None)),
+    "csma": _Command(
+        "carrier-sense density and co-location accuracy loss", _csma_options,
+        ["lambda_large_scale", "accuracy_loss"],
+        {"d": "d", "delta": "delta", "beta": "beta", "lambda": "lambda_scale"}, {"delta": "delta"},
+        _csma_row, setup=_csma_setup),
+}
+
+
+def _cmd_analytic(args) -> int:
+    """One row, or with --sweep one row per axis point, the swept argument
+    overridden on a copy; a point's failure fills its error column."""
+    spec = COMMANDS[args.command]
+    shape, channel = spec.setup(args)
+    config = _base_config(args, args.command, shape,
+                          {key: getattr(args, name) for key, name in spec.extras.items()})
+    if not args.sweep:
+        _emit(config, spec.columns, [spec.row(args, shape, channel)], args)
+        return EXIT_OK
+    axis, values = _parse_axis(args.sweep)
+    if axis not in spec.axes:
+        raise DomainError(f"command {args.command!r} cannot sweep axis {axis!r}; allowed: {sorted(spec.axes)}")
+    rows = []
+    for v in values:
+        point = argparse.Namespace(**{**vars(args), spec.axes[axis]: v})
+        try:
+            rows.append([v, *spec.row(point, shape, channel), ""])
+        except IsopppError as exc:
+            rows.append([v, *[None] * len(spec.columns), f"{type(exc).__name__}: {exc}"])
+    _emit(config, [axis, *spec.columns, "error"], rows, args)
+    return EXIT_OK
 
 
 def _parse_grid(text: str | None):
@@ -437,17 +373,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_TASKS = {}
-
-
-def _cmd_sweep(args) -> int:
-    handler = _SWEEP_TASKS.get(args.task)
-    if handler is None:
-        raise DomainError(f"unknown sweep task {args.task!r}")
-    args.sweep = args.axis
-    return handler(args)
-
-
 def _cmd_replot_check(args) -> int:
     path = args.file
     with open(path, "r", encoding="utf-8") as fh:
@@ -499,51 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def computational(name, help_, handler, default_c=1.0, link=True):
-        p = sub.add_parser(name, help=help_)
-        _add_shape_args(p)
-        _add_channel_args(p, default_c)
-        if link:
-            _add_link_args(p)
-        _add_output_args(p)
-        p.set_defaults(handler=handler)
-        return p
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        spec.options(p)
+        p.set_defaults(handler=_cmd_analytic)
 
-    computational("mean", "mean interference lambda * A_alpha(y0, c)", _cmd_mean)
-
-    p = computational("laplace", "interference Laplace transform at s", _cmd_laplace)
-    p.add_argument("--s", type=float, default=1.0, help="transform variable")
-
-    computational("outage", "exact Rayleigh outage probability", _cmd_outage)
-    computational("divergence", "log-divergence of the local approximation",
-                  _cmd_divergence, default_c=0.0)
-    computational("relerror", "relative error of the local approximation",
-                  _cmd_relerror, default_c=0.0)
-
-    p = computational("capacity", "local transmission capacity", _cmd_capacity, default_c=0.0)
-    p.add_argument("--epsilon", type=float, required=True, help="outage budget in (0, 1)")
-
-    p = sub.add_parser("fhds", help="FH over DS CDMA capacity gain at the centre")
-    _add_shape_args(p)
-    p.add_argument("--d", type=float, default=10.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--m-gain", dest="m_gain", type=float, default=4.0, help="processing gain M")
-    _add_output_args(p)
-    p.set_defaults(handler=_cmd_fhds)
-
-    p = sub.add_parser("csma", help="carrier-sense density and co-location accuracy loss")
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--lambda", dest="lambda_scale", type=float, default=1e-3)
-    p.add_argument("--d", type=float, default=10.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=None, help="sensing threshold (linear)")
-    p.add_argument("--delta-db", dest="delta_db", type=float, default=None,
-                   help="sensing threshold in dB")
-    _add_output_args(p)
-    p.set_defaults(handler=_cmd_csma)
-
-    p = computational("simulate", "Monte-Carlo estimates with confidence intervals",
-                      _cmd_simulate)
+    p = sub.add_parser("simulate", help="Monte-Carlo estimates with confidence intervals")
+    _link_options(1.0)(p)
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--what", choices=["mean", "outage", "tail", "laplace"], default="mean")
     p.add_argument("--trials", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=1)
@@ -552,21 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", help="comma-separated tail levels")
     p.add_argument("--s", help="comma-separated transform variables")
 
-    p = sub.add_parser("sweep", help="run any analytic task over a parameter axis")
-    p.add_argument("--task", required=True,
-                   choices=["mean", "laplace", "outage", "divergence", "relerror",
-                            "capacity", "fhds", "csma"])
+    p = sub.add_parser("sweep", help="run any analytic task over a parameter axis",
+                       description="'sweep --task T --axis A ...' runs 'T ... --sweep A'",
+                       allow_abbrev=False)  # so "--a" reaches the task as --alpha
+    p.add_argument("--task", required=True, choices=list(COMMANDS))
     p.add_argument("--axis", required=True, help="axis spec 'name=start:stop:step'")
-    _add_shape_args(p)
-    _add_channel_args(p, 1.0)
-    _add_link_args(p)
-    _add_output_args(p)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--m-gain", dest="m_gain", type=float, default=4.0)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--delta-db", dest="delta_db", type=float, default=None)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("replot-check", help="verify a result file re-reads losslessly")
     p.add_argument("file")
@@ -575,21 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SWEEP_TASKS.update(
-    mean=_cmd_mean,
-    laplace=_cmd_laplace,
-    outage=_cmd_outage,
-    divergence=_cmd_divergence,
-    relerror=_cmd_relerror,
-    capacity=_cmd_capacity,
-    fhds=_cmd_fhds,
-    csma=_cmd_csma,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "sweep":  # 'sweep --task T --axis A ...' is 'T ... --sweep A'
+        args, rest = parser.parse_known_args([args.task, *rest, "--sweep", args.axis])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.handler(args)
     except (DivergentIntegral, NoFiniteTruncation) as exc:

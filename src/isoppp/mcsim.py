@@ -263,21 +263,6 @@ class PointProcessSampler:
         return radii, angles
 
 
-def sample_point_process(
-    shape: ShapeFunction,
-    lambda_scale: float,
-    max_radius: float,
-    rng: np.random.Generator,
-    *,
-    sampler: PointProcessSampler | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One realisation of the deployment inside a disc; convenience wrapper
-    around PointProcessSampler (pass ``sampler`` to amortise table builds)."""
-    if sampler is None:
-        sampler = PointProcessSampler(shape, lambda_scale, max_radius)
-    return sampler.sample(rng)
-
-
 def simulate(
     shape: ShapeFunction,
     channel: ChannelModel,

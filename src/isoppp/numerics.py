@@ -97,17 +97,6 @@ class IntegralResult:
             raise DomainError("abs_error must be nonnegative")
 
 
-def angular_closed_form(a: float, b: float) -> float:
-    """Closed form of the angular integral int_0^pi dphi / (a + b cos phi).
-
-    Equals pi / sqrt(a^2 - b^2); requires a > |b| so the integrand stays
-    bounded.
-    """
-    if not a > abs(b):
-        raise DomainError(f"need a > |b|, got a={a}, b={b}")
-    return math.pi / math.sqrt((a - abs(b)) * (a + abs(b)))
-
-
 def origin_epsilon(c: float) -> float:
     """Offset threshold below which the receiver is treated as centred."""
     return 1e-6 * max(1.0, math.sqrt(c))
@@ -138,21 +127,6 @@ def asinh_kernel(r, c: float, y0_norm: float):
     if np.ndim(r) == 0:
         return float(out[0])
     return out
-
-
-def kappa(r: float, c: float, y0_norm: float) -> complex:
-    """The complex quantity entering the exponent-4 arctangent kernel.
-
-    Uses the principal square-root branch.  |kappa| <= 1 for all r >= 0.
-    """
-    if c <= 0:
-        raise DomainError(f"path-loss constant c must be positive, got c={c}")
-    s = math.sqrt(c)
-    t2 = float(r) ** 2
-    a2 = float(y0_norm) ** 2
-    num = complex(t2 - a2, -s)
-    inner = complex(s, t2 + a2) ** 2 + 4.0 * t2 * a2
-    return num / np.sqrt(complex(inner))
 
 
 def arctan_kernel(r, c: float, y0_norm: float):

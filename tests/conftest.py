@@ -33,6 +33,32 @@ def unit_channel(alpha, c):
     return ip.ChannelModel(alpha=alpha, c=c, fading=ip.FadingLaw.unit())
 
 
+def angular_closed_form(a, b):
+    """Closed form of the angular integral int_0^pi dphi / (a + b cos phi).
+
+    Equals pi / sqrt(a^2 - b^2); requires a > |b| so the integrand stays
+    bounded.
+    """
+    if not a > abs(b):
+        raise ip.DomainError(f"need a > |b|, got a={a}, b={b}")
+    return math.pi / math.sqrt((a - abs(b)) * (a + abs(b)))
+
+
+def kappa(r, c, y0_norm):
+    """The complex quantity entering the exponent-4 arctangent kernel.
+
+    Uses the principal square-root branch.  |kappa| <= 1 for all r >= 0.
+    """
+    if c <= 0:
+        raise ip.DomainError(f"path-loss constant c must be positive, got c={c}")
+    s = math.sqrt(c)
+    t2 = float(r) ** 2
+    a2 = float(y0_norm) ** 2
+    num = complex(t2 - a2, -s)
+    inner = complex(s, t2 + a2) ** 2 + 4.0 * t2 * a2
+    return num / np.sqrt(complex(inner))
+
+
 def brute_angular_alpha2(r, c, y0):
     """int_0^pi dphi / (c + r^2 + y0^2 - 2 r y0 cos phi) by QUADPACK."""
     val, _ = quad(

@@ -22,6 +22,27 @@ def parse_csv(text):
     return config, header, rows
 
 
+C100 = '{"scenario":"C","params":{"rho":100}}'
+FIG3 = '{"scenario":"A","params":{"r0":500,"r1":800}}'
+HOLE = '{"scenario":"D","params":{"delta":1e-5,"alpha":4}}'
+
+# one (command, arguments, sweep axis) per analytic command; the forms rely on
+# each command's own defaults (divergence, relerror and capacity default c to 0)
+SWEEP_FORMS = [
+    ("mean", ["--shape", "constant", "--alpha", "4", "--lambda", "1e-3"], "y0=0:100:50"),
+    ("laplace", ["--shape", "constant", "--alpha", "4", "--c", "0", "--lambda", "0.01"],
+     "s=1:5:2"),
+    ("outage", ["--shape", C100, "--alpha", "4", "--c", "1", "--d", "10", "--beta", "0.5"],
+     "y0=0:200:100"),
+    ("divergence", ["--shape", HOLE, "--alpha", "4", "--d", "10", "--beta", "1"], "y0=0:100:50"),
+    ("relerror", ["--shape", FIG3, "--alpha", "4", "--d", "10"], "y0=0:900:300"),
+    ("capacity", ["--shape", C100, "--alpha", "2", "--d", "10", "--beta", "0.5",
+                  "--epsilon", "0.1"], "y0=0:100:50"),
+    ("fhds", ["--shape", C100, "--d", "10", "--beta", "0.5"], "M=1:16:5"),
+    ("csma", ["--delta-db", "-50", "--lambda", "1e-3", "--beta", "1"], "d=5:15:5"),
+]
+
+
 class TestMeanCommand:
     def test_stationary_value(self, capsys):
         code, out, _ = run_cli(
@@ -94,25 +115,22 @@ class TestSweep:
         assert rows[1][-1] == "" and rows[2][-1] == ""
         assert rows[0][1] == ""             # failed point carries no value
 
-    def test_sweep_subcommand_equivalent(self, capsys):
-        code1, out1, _ = run_cli(
-            capsys, "mean", "--shape", "constant", "--alpha", "4",
-            "--lambda", "1e-3", "--sweep", "y0=0:100:50",
-        )
-        code2, out2, _ = run_cli(
-            capsys, "sweep", "--task", "mean", "--axis", "y0=0:100:50",
-            "--shape", "constant", "--alpha", "4", "--lambda", "1e-3",
-        )
+    @pytest.mark.parametrize("task,argv,axis", SWEEP_FORMS, ids=[f[0] for f in SWEEP_FORMS])
+    def test_sweep_subcommand_equivalent(self, capsys, task, argv, axis):
+        # 'sweep --task T --axis A ...' is exactly 'T ... --sweep A': same
+        # defaults, same config echo, same bytes
+        code1, out1, _ = run_cli(capsys, task, *argv, "--sweep", axis)
+        code2, out2, _ = run_cli(capsys, "sweep", "--task", task, "--axis", axis, *argv)
         assert code1 == code2 == 0
-        _, _, rows1 = parse_csv(out1)
-        _, _, rows2 = parse_csv(out2)
-        assert rows1 == rows2
+        assert out2 == out1
+        _, _, rows = parse_csv(out1)
+        assert rows and all(r[-1] == "" for r in rows)
 
     def test_workers_preserve_order(self, capsys):
         code, out, _ = run_cli(
             capsys, "outage", "--shape", '{"scenario":"C","params":{"rho":100}}',
             "--alpha", "4", "--c", "1", "--d", "10", "--beta", "0.5",
-            "--sweep", "y0=0:400:40", "--workers", "4",
+            "--sweep", "y0=0:400:40",
         )
         assert code == 0
         _, _, rows = parse_csv(out)
@@ -121,7 +139,7 @@ class TestSweep:
         code2, out2, _ = run_cli(
             capsys, "outage", "--shape", '{"scenario":"C","params":{"rho":100}}',
             "--alpha", "4", "--c", "1", "--d", "10", "--beta", "0.5",
-            "--sweep", "y0=0:400:40", "--workers", "1",
+            "--sweep", "y0=0:400:40",
         )
         assert out2 == out
 
@@ -130,6 +148,36 @@ class TestSweep:
             capsys, "mean", "--shape", "constant", "--alpha", "4", "--sweep", "d=0:10:1",
         )
         assert code == 2
+
+
+LINK_KEYS = {"alpha", "beta", "c", "command", "d", "eta_db", "fading", "lambda_scale", "shape",
+             "tol", "y0"}
+CONFIG_KEYS = {
+    "mean": LINK_KEYS,
+    "laplace": LINK_KEYS | {"s"},
+    "outage": LINK_KEYS,
+    "divergence": LINK_KEYS,
+    "relerror": LINK_KEYS,
+    "capacity": LINK_KEYS | {"epsilon"},
+    "fhds": {"beta", "command", "d", "m", "shape", "tol"},
+    "csma": {"alpha", "beta", "command", "d", "delta", "lambda_scale", "shape", "tol"},
+}
+
+
+class TestConfigEcho:
+    """The config keys each analytic command echoes are its reproducibility
+    contract: pinned for single values and sweeps, in CSV and JSON."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("task,argv,axis", SWEEP_FORMS, ids=[f[0] for f in SWEEP_FORMS])
+    def test_config_keys(self, capsys, task, argv, axis, fmt):
+        for extra, keys in (([], CONFIG_KEYS[task]),
+                            (["--sweep", axis], CONFIG_KEYS[task] | {"sweep"})):
+            code, out, err = run_cli(capsys, task, *argv, *extra, "--format", fmt)
+            assert code == 0, err
+            config = json.loads(out)["config"] if fmt == "json" else parse_csv(out)[0]
+            assert set(config) == keys
+            assert config["command"] == task
 
 
 class TestOtherCommands:

@@ -87,7 +87,7 @@ class TestPointProcessSampler:
 
     def test_one_shot_wrapper(self):
         rng = np.random.default_rng(9)
-        radii, angles = ip.sample_point_process(ip.constant_shape(1.0), 1e-2, 30.0, rng)
+        radii, angles = ip.PointProcessSampler(ip.constant_shape(1.0), 1e-2, 30.0).sample(rng)
         assert radii.shape == angles.shape
 
 

