@@ -154,9 +154,7 @@ def interference_driving_alpha2(
             "density decays at least like a power law"
         )
     boundary = shape.f_zero * asinh_kernel(0.0, c, y0_norm)
-    integ = integrate_semi_infinite(
-        lambda r: asinh_kernel(r, c, y0_norm), shape, tol, kernel_growth="log"
-    )
+    integ = integrate_semi_infinite(lambda r: asinh_kernel(r, c, y0_norm), shape, tol)
     return IntegralResult(
         value=-math.pi * (boundary + integ.value),
         abs_error=math.pi * integ.abs_error,
@@ -178,9 +176,7 @@ def interference_driving_alpha4(
         raise DomainError(f"A_4 needs c > 0, got c={c}")
     f_inf = shape.limit_at_infinity()
     boundary = f_inf * (0.5 * math.pi) + shape.f_zero * (0.5 * math.pi)
-    integ = integrate_semi_infinite(
-        lambda r: arctan_kernel(r, c, y0_norm), shape, tol, kernel_growth="bounded"
-    )
+    integ = integrate_semi_infinite(lambda r: arctan_kernel(r, c, y0_norm), shape, tol)
     scale = math.pi / (2.0 * math.sqrt(c))
     return IntegralResult(
         value=scale * (boundary - integ.value),

@@ -471,6 +471,9 @@ def main(argv=None) -> int:
     except IsopppError as exc:
         print(f"isoppp: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as exc:
+        print(f"isoppp: numeric overflow: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"isoppp: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,8 +12,11 @@ shape derivative against two kernels:
 
   for path-loss exponent 4.
 
-The arctangent kernel is evaluated here in an algebraically equivalent form
-that is numerically stable for all radii and offsets (see ``arctan_kernel``).
+The arctangent kernel itself is evaluated here in an algebraically
+equivalent form that is numerically stable for all radii and offsets (see
+``arctan_kernel``).  That does not make the exponent-4 mean stable: its
+closed form subtracts the kernel integral from an O(1) boundary term, which
+cancels for receivers far from a compact deployment.
 Semi-infinite integrals are handled by an adaptive Gauss-Kronrod 7/15 scheme
 with a 1/(1+r) tail substitution.
 """
@@ -27,8 +30,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DivergentIntegral, DomainError
-from .shapes import ShapeFunction, TailKind
+from .errors import DomainError
+from .shapes import ShapeFunction
 
 MAX_EVALUATIONS = 10**6
 
@@ -279,40 +282,22 @@ def integrate_semi_infinite(
     tol: float = 1e-10,
     *,
     knee: float | None = None,
-    kernel_growth: str = "bounded",
     max_evals: int = MAX_EVALUATIONS,
 ) -> IntegralResult:
     """Integrate weight(r) * kernel(r) over r in [0, infinity).
 
-    ``weight`` is either a ShapeFunction (its derivative is the weight, its
-    knots become split points and its tail class is checked against the
-    kernel growth) or a plain vectorised callable.  The domain is split at
-    ``knee`` and the tail is mapped through u = 1/(1+r) so the adaptive rule
-    works on finite panels only.
-
-    kernel_growth:
-        "bounded" -- kernel stays bounded as r -> infinity;
-        "log"     -- kernel grows logarithmically: weights from shapes whose
-                     tail decays no faster than logarithmically make the
-                     integral (and the quantity it feeds) infinite, which
-                     raises DivergentIntegral.
+    ``weight`` is either a ShapeFunction (its derivative is the weight and
+    its knots become split points) or a plain vectorised callable.  The
+    domain is split at ``knee`` and the tail is mapped through u = 1/(1+r)
+    so the adaptive rule works on finite panels only.  Whether the integral
+    converges for the weight's tail is the caller's concern.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    if kernel_growth not in ("bounded", "log"):
-        raise DomainError(f"unknown kernel growth class {kernel_growth!r}")
 
     knots: tuple[float, ...] = ()
     support_end = None
     if isinstance(weight, ShapeFunction):
-        if kernel_growth == "log" and weight.tail.kind in (
-            TailKind.NON_DECAYING,
-            TailKind.LOG_DECAY,
-        ):
-            raise DivergentIntegral(
-                "integral against a log-growing kernel diverges unless the "
-                "density tail decays faster than logarithmically"
-            )
         weight_fn = weight.eval_deriv
         knots = weight.knots
         support_end = weight.support_end

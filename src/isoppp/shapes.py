@@ -373,7 +373,7 @@ def build_scenario(scenario: str, params: Mapping[str, float]) -> ShapeFunction:
 
 def from_descriptor(descriptor: Mapping) -> ShapeFunction:
     """Build a shape from its JSON descriptor
-    ``{"scenario": "A|B|C|D|constant|powerTail", "params": {...}}``."""
+    ``{"scenario": "A|B|C|D|constant|powerTail|logDecay", "params": {...}}``."""
     if "scenario" not in descriptor:
         raise InvalidScenarioParams("shape descriptor needs a 'scenario' key")
     params = descriptor.get("params", {}) or {}

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import isoppp
 from isoppp.cli import main
 
 
@@ -250,6 +254,41 @@ class TestOtherCommands:
         assert header == ["d", "lambda_large_scale", "accuracy_loss", "error"]
         assert len(rows) == 6
         assert all(r[-1] == "" for r in rows)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--alpha", "4", "--d", "1e200"],
+        ["laplace", "--alpha", "4", "--y0", "1e300"],
+    ])
+    def test_overflow_is_config_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--shape", C100)
+        assert code == 2
+        assert err.startswith("isoppp: numeric overflow:")
+
+
+def test_import_path_skips_scipy_stats():
+    # scipy.stats costs about half a second of start-up and nothing in the
+    # package needs it; run in a fresh interpreter so test imports don't count
+    forms = [
+        ["mean", "--shape", C100, "--alpha", "4", "--lambda", "1e-3"],
+        ["simulate", "--shape", C100, "--alpha", "4", "--lambda", "1e-3",
+         "--trials", "50", "--what", "outage", "--d", "10", "--beta", "0.5"],
+        ["csma", "--delta-db", "-50", "--lambda", "1e-3", "--beta", "1", "--d", "10"],
+    ]
+    script = (
+        "import sys\n"
+        "import isoppp\n"
+        "from isoppp.cli import main\n"
+        f"codes = [main(argv) for argv in {forms!r}]\n"
+        "print(codes, 'scipy.stats' in sys.modules, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(isoppp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "[0, 0, 0] False"
 
 
 class TestSimulateCommand:

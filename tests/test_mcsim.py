@@ -85,6 +85,18 @@ class TestPointProcessSampler:
         stat = float(np.sum((observed - expected) ** 2 / expected))
         assert float(chi2.sf(stat, 15)) > 0.01
 
+    def test_distorted_table_rejected(self):
+        # an inverse that bends the uniforms (u -> u**1.05) misplaces up to
+        # 19% of a bin's mass; every rebuild keeps the bend, so the build fails
+        class Distorted(ip.PointProcessSampler):
+            def _build_table(self, knot_count):
+                super()._build_table(knot_count)
+                inverse = self._inverse
+                self._inverse = lambda u: inverse(np.asarray(u, dtype=float) ** 1.05)
+
+        with pytest.raises(ip.DomainError):
+            Distorted(ip.scenario_scattered(100.0), 1e-3, 2000.0)
+
     def test_one_shot_wrapper(self):
         rng = np.random.default_rng(9)
         radii, angles = ip.PointProcessSampler(ip.constant_shape(1.0), 1e-2, 30.0).sample(rng)
