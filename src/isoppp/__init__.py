@@ -14,8 +14,6 @@ from .analytic import (
     LinkConfig,
     classify_finiteness,
     interference_driving,
-    interference_driving_alpha2,
-    interference_driving_alpha4,
     laplace_transform,
     mean_interference,
 )

@@ -3,14 +3,21 @@
 The mean interference at a receiver offset ``y0`` from the network centre
 factors as ``lambda * A_alpha(y0, c)`` where the driving function
 ``A_alpha`` depends only on the deployment shape, the receiver offset and
-the path-loss constant:
+the path-loss constant.  It is computed as Campbell's radial integral
+``int_0^inf r F(r) K_alpha(r) dr`` with the closed-form angular kernels of
+``numerics``; its integrand is positive, so the result is accurate to a
+relative tolerance at every offset.  The paper states it by parts,
 
     A_2(y0, c) = -pi * ( F(0) K(0) + int_0^inf f(r) K(r) dr ),
                  K = asinh kernel (log form at the origin),
 
     A_4(y0, c) = pi/(2 sqrt(c)) * ( F_inf pi/2 - F(0) Theta(0)
                                     - int_0^inf f(r) Theta(r) dr ),
-                 Theta = arctan kernel, Theta(0) = -pi/2.
+                 Theta = arctan kernel, Theta(0) = -pi/2,
+
+and the frozen values in ``tests/test_analytic.py`` pin that equivalence;
+the by-parts form at exponent 4 cancels two O(1) terms far from a compact
+deployment.
 
 Under Rayleigh fading the interference Laplace transform is
 ``exp(-lambda s A_alpha(y0, s + c))``, which downstream modules turn into
@@ -26,8 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentIntegral, DomainError, NonConvergence, UnsupportedAlpha
-from .numerics import IntegralResult, arctan_kernel, asinh_kernel, integrate_semi_infinite
+from .errors import DivergentIntegral, DomainError, NonConvergence, UnsupportedAlpha, _check_finite
+from .numerics import IntegralResult, _kernel_alpha2, _kernel_alpha4, integrate_semi_infinite
+# unused here, but the benchmark's tracer (perfbench/tracer.py) patches them by name
+from .numerics import arctan_kernel, asinh_kernel  # noqa: F401
 from .shapes import ShapeFunction, TailKind
 
 
@@ -77,6 +86,7 @@ class ChannelModel:
     fading: FadingLaw
 
     def __post_init__(self):
+        _check_finite(alpha=self.alpha, c=self.c)
         if self.alpha < 2:
             raise DomainError(f"path-loss exponent must be >= 2, got {self.alpha}")
         if self.c < 0:
@@ -97,6 +107,10 @@ class LinkConfig:
     eta_db: float = math.inf
 
     def __post_init__(self):
+        _check_finite(lambda_scale=self.lambda_scale, y0_norm=self.y0_norm, d=self.d,
+                      beta=self.beta)
+        if self.eta_db != math.inf:
+            _check_finite(eta_db=self.eta_db)
         if self.lambda_scale <= 0:
             raise DomainError("intensity scale must be positive")
         if self.d <= 0:
@@ -138,65 +152,47 @@ def _mean_finite(shape: ShapeFunction, alpha: float) -> bool:
     )
 
 
-def interference_driving_alpha2(
-    shape: ShapeFunction, y0_norm: float, c: float, tol: float = 1e-10
-) -> IntegralResult:
-    """Driving function A_2(y0, c) of the mean interference at alpha = 2.
-
-    Finite (and positive) only when the shape decays at least like a power
-    law; otherwise DivergentIntegral is raised.
-    """
-    if c <= 0:
-        raise DomainError(f"A_2 needs c > 0, got c={c}")
-    if not _mean_finite(shape, 2.0):
-        raise DivergentIntegral(
-            "mean interference at path-loss exponent 2 is infinite unless the "
-            "density decays at least like a power law"
-        )
-    boundary = shape.f_zero * asinh_kernel(0.0, c, y0_norm)
-    integ = integrate_semi_infinite(lambda r: asinh_kernel(r, c, y0_norm), shape, tol)
-    return IntegralResult(
-        value=-math.pi * (boundary + integ.value),
-        abs_error=math.pi * integ.abs_error,
-        converged=integ.converged,
-        evaluations=integ.evaluations,
-    )
-
-
-def interference_driving_alpha4(
-    shape: ShapeFunction, y0_norm: float, c: float, tol: float = 1e-10
-) -> IntegralResult:
-    """Driving function A_4(y0, c) of the mean interference at alpha = 4.
-
-    Finite for every shape (including non-decaying ones); the boundary term
-    uses Theta(0) = -pi/2 and the limit of F at infinity from the tail
-    classification.
-    """
-    if c <= 0:
-        raise DomainError(f"A_4 needs c > 0, got c={c}")
-    f_inf = shape.limit_at_infinity()
-    boundary = f_inf * (0.5 * math.pi) + shape.f_zero * (0.5 * math.pi)
-    integ = integrate_semi_infinite(lambda r: arctan_kernel(r, c, y0_norm), shape, tol)
-    scale = math.pi / (2.0 * math.sqrt(c))
-    return IntegralResult(
-        value=scale * (boundary - integ.value),
-        abs_error=scale * integ.abs_error,
-        converged=integ.converged,
-        evaluations=integ.evaluations,
-    )
+_KERNELS = {2: _kernel_alpha2, 4: _kernel_alpha4}
 
 
 def interference_driving(
     shape: ShapeFunction, y0_norm: float, c: float, alpha: float, tol: float = 1e-10
 ) -> IntegralResult:
-    """A_alpha(y0, c) for alpha in {2, 4}; UnsupportedAlpha otherwise."""
-    if alpha == 2:
-        return interference_driving_alpha2(shape, y0_norm, c, tol)
-    if alpha == 4:
-        return interference_driving_alpha4(shape, y0_norm, c, tol)
-    raise UnsupportedAlpha(
-        f"closed forms exist only for path-loss exponents 2 and 4, got {alpha}; "
-        "use the Monte-Carlo engine or the tail bounds instead"
+    """A_alpha(y0, c) = int_0^inf r F(r) K_alpha(r) dr for alpha in {2, 4}.
+
+    ``tol`` is relative.  Raises UnsupportedAlpha for other exponents and
+    DivergentIntegral at alpha = 2 unless the shape decays at least like a
+    power law; at alpha = 4 the integral is finite for every shape.
+    """
+    _check_finite(y0_norm=y0_norm, c=c)
+    if alpha not in _KERNELS:
+        raise UnsupportedAlpha(
+            f"closed forms exist only for path-loss exponents 2 and 4, got {alpha}; "
+            "use the Monte-Carlo engine or the tail bounds instead"
+        )
+    if c <= 0:
+        raise DomainError(f"A_{alpha:g} needs c > 0, got c={c}")
+    if y0_norm < 0:
+        raise DomainError("offset must be nonnegative")
+    if math.isinf(1e6 * y0_norm * y0_norm):
+        # the tail's first panel squares r + y0 at radii up to ~250 y0
+        raise OverflowError(f"offset y0={y0_norm:g} is too large: the kernels square r + y0")
+    if not _mean_finite(shape, alpha):
+        raise DivergentIntegral(
+            "mean interference at path-loss exponent 2 is infinite unless the "
+            "density decays at least like a power law"
+        )
+    kernel = _KERNELS[alpha]
+
+    def integrand(r):
+        return r * shape.eval_f(r) * kernel(r, c, y0_norm)
+
+    return integrate_semi_infinite(
+        integrand,
+        tol,
+        knots=(*shape.knots, y0_norm),
+        knee=4.0 * shape.scale,
+        support_end=shape.support_end,
     )
 
 
@@ -212,6 +208,7 @@ def mean_interference(
     Raises UnsupportedAlpha for alpha outside {2, 4} and DivergentIntegral
     when the alpha = 2 mean does not exist for this shape.
     """
+    _check_finite(lambda_scale=lambda_scale)
     if channel.c <= 0:
         raise DomainError("mean interference closed forms need c > 0")
     if lambda_scale <= 0:
@@ -239,6 +236,7 @@ def laplace_transform(
     and 0 in the divergent regime (alpha = 2 with a tail decaying no faster
     than logarithmically, where I is almost surely infinite).
     """
+    _check_finite(lambda_scale=lambda_scale, y0_norm=y0_norm, s=s)
     if channel.fading.kind != "rayleigh":
         raise DomainError("the interference Laplace transform assumes Rayleigh fading")
     if s < 0:

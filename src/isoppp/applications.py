@@ -78,6 +78,9 @@ def fh_ds_gain(
     s = beta * d * d
     base = interference_driving(shape, 0.0, s, 2, tol)
     hopped = interference_driving(shape, 0.0, s / m, 2, tol)
+    for a in (base, hopped):
+        if not a.converged:
+            raise NonConvergence("driving-function quadrature did not converge", result=a)
     asymptote = 1.0 + math.pi * shape.f_zero * math.log(m) / base.value
     return FhDsGain(ratio=hopped.value / base.value, asymptote=asymptote)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ChannelModel, interference_driving
-from .errors import DomainError, OutsideRegion
+from .errors import DomainError, NonConvergence, OutsideRegion
 from .numerics import integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
@@ -157,14 +157,11 @@ def lower_tail_bound(
             rbar = r_cut
 
     if math.isinf(rbar):
-        integ = integrate_semi_infinite(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            integrand,
-            tol,
-            knee=max(shape.scale, 1.0),
-        )
+        integ = integrate_semi_infinite(integrand, tol, knee=max(shape.scale, 1.0))
     else:
         integ = integrate_interval(integrand, 0.0, rbar, tol, knots=knots)
+    if not integ.converged:
+        raise NonConvergence("dominant-interferer quadrature did not converge", result=integ)
 
     exponent = 2.0 * math.pi * lambda_scale * float(shape.eval_f(y0_norm)) * integ.value
     return -math.expm1(-exponent)
@@ -182,4 +179,6 @@ def markov_upper_tail(
     if z <= 0:
         raise DomainError("interference level z must be positive")
     a = interference_driving(shape, y0_norm, channel.c, channel.alpha, tol)
+    if not a.converged:
+        raise NonConvergence("driving-function quadrature did not converge", result=a)
     return min(1.0, lambda_scale * a.value / z)

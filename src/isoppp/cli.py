@@ -28,6 +28,7 @@ from .errors import (
     IsopppError,
     NoFiniteTruncation,
     NonConvergence,
+    _check_finite,
 )
 
 EXIT_OK = 0
@@ -135,6 +136,7 @@ def _parse_axis(spec: str):
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise DomainError(f"bad axis spec {spec!r}; expected name=start:stop:step") from exc
+    _check_finite(start=start, stop=stop, step=step)
     if step <= 0:
         raise DomainError("axis step must be positive")
     if stop < start:

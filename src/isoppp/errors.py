@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all isoppp modules."""
 
+import math
+
 
 class IsopppError(Exception):
     """Base class for every error raised by this package."""
@@ -55,3 +57,11 @@ class NonConvergence(IsopppError, ArithmeticError):
 
 class NoFiniteTruncation(IsopppError):
     """No finite sampling radius can bound the neglected interference."""
+
+
+def _check_finite(**values: float) -> None:
+    """Raise DomainError naming the first NaN or infinite value; range checks
+    alone let NaN through, because every comparison with NaN is false."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")

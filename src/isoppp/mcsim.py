@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .analytic import ChannelModel, LinkConfig, _mean_finite, interference_driving
-from .errors import DomainError, NoFiniteTruncation
+from .errors import DomainError, NoFiniteTruncation, _check_finite
 from .numerics import integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction, TailKind
 
@@ -39,6 +39,8 @@ class SimConfig:
     max_radius_override: float | None = None
 
     def __post_init__(self):
+        if self.max_radius_override is not None:
+            _check_finite(max_radius_override=self.max_radius_override)
         if self.trials < 1:
             raise DomainError("need at least one trial")
         if not 0 <= self.seed < 2**64:
@@ -92,11 +94,7 @@ def _tail_mean_bound(shape: ShapeFunction, channel: ChannelModel, y0_norm: float
     if shape.support_end is not None and radius >= shape.support_end:
         return 0.0
     integ = integrate_semi_infinite(
-        lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        weight,
-        1e-9,
-        knee=max(shape.scale, y0_norm, 1.0),
-        max_evals=10**5,
+        weight, 1e-9, knee=max(shape.scale, y0_norm, 1.0), max_evals=10**5
     )
     if not integ.converged:
         # a tail bound that refuses to settle is treated as unbounded

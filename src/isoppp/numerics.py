@@ -1,24 +1,20 @@
-"""Special-function kernels and adaptive quadrature.
+"""Kernels and adaptive quadrature for the mean-interference integrals.
 
-The mean-interference closed forms reduce to one-dimensional integrals of a
-shape derivative against two kernels:
+The driving function ``A_alpha(y0, c) = int_0^inf r F(r) K_alpha(r) dr`` of
+``analytic`` integrates the angular kernel
+``K_alpha(r) = int_0^{2 pi} dphi / (c + d^alpha)``,
+``d^2 = r^2 + y0^2 - 2 r y0 cos(phi)``, which has a closed form for
+alpha in {2, 4} (``_kernel_alpha2``, ``_kernel_alpha4``).  Both kernels are
+positive, so the integrand is too and a relative stopping test is safe.
+The paper's by-parts forms of A_2 and A_4 integrate the shape derivative
+against ``asinh_kernel`` and ``arctan_kernel`` instead.  They are equal
+(frozen values in ``tests/test_analytic.py`` pin that), and the kernels
+stay public as the paper's own functions, but at exponent 4 the by-parts
+form cancels two O(1) terms far from a compact deployment.
 
-* an inverse-hyperbolic-sine kernel ``asinh((r^2 + c - |y0|^2)/(2 |y0| sqrt(c)))``
-  for path-loss exponent 2, with a logarithmic replacement at the origin, and
-* an arctangent kernel built from the complex quantity
-
-      kappa(r, c, y0) = (r^2 - y0^2 - j sqrt(c))
-                        / sqrt((sqrt(c) + j (r^2 + y0^2))^2 + 4 r^2 y0^2)
-
-  for path-loss exponent 4.
-
-The arctangent kernel itself is evaluated here in an algebraically
-equivalent form that is numerically stable for all radii and offsets (see
-``arctan_kernel``).  That does not make the exponent-4 mean stable: its
-closed form subtracts the kernel integral from an O(1) boundary term, which
-cancels for receivers far from a compact deployment.
-Semi-infinite integrals are handled by an adaptive Gauss-Kronrod 7/15 scheme
-with a 1/(1+r) tail substitution.
+Integrals run through an adaptive Gauss-Kronrod 7/15 scheme with a relative
+tolerance and a QUADPACK round-off floor (Piessens et al., *QUADPACK*,
+1983); semi-infinite ones map their tail through r = knee/u.
 """
 
 from __future__ import annotations
@@ -26,14 +22,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .shapes import ShapeFunction
 
 MAX_EVALUATIONS = 10**6
+# a panel whose error estimate is at most this multiple of the integral of
+# |f| over it is resolved to round-off and is not bisected further
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 # 15-point Kronrod extension of the 7-point Gauss rule (nodes symmetric
 # about 0 on [-1, 1]; the Gauss nodes are every second Kronrod node).
@@ -86,8 +84,9 @@ _WG = np.array([
 class IntegralResult:
     """Value and error estimate of an adaptive quadrature.
 
-    ``converged`` is True when the accumulated error estimate dropped below
-    the requested tolerance before the evaluation budget ran out.
+    ``converged`` is True when, before the evaluation budget ran out, the
+    accumulated error estimate dropped to the relative tolerance or every
+    panel was resolved to round-off.
     """
 
     value: float
@@ -106,7 +105,7 @@ def origin_epsilon(c: float) -> float:
 
 
 def asinh_kernel(r, c: float, y0_norm: float):
-    """Radial kernel of the mean interference at path-loss exponent 2.
+    """Radial kernel of the paper's by-parts mean at path-loss exponent 2.
 
     For offsets above ``origin_epsilon(c)`` this is
     ``asinh((r^2 + c - y0^2) / (2 y0 sqrt(c)))``; at (and near) the origin
@@ -133,7 +132,7 @@ def asinh_kernel(r, c: float, y0_norm: float):
 
 
 def arctan_kernel(r, c: float, y0_norm: float):
-    """Angle kernel of the mean interference at path-loss exponent 4.
+    """Angle kernel of the paper's by-parts mean at path-loss exponent 4.
 
     Mathematically this is ``atan2(2 Re kappa, 1 - |kappa|^2)``, which is
     continuous, nondecreasing in r, and runs from -pi/2 at r = 0 to +pi/2 as
@@ -175,57 +174,89 @@ def arctan_kernel(r, c: float, y0_norm: float):
     return out
 
 
+def _kernel_alpha2(r, c: float, y0_norm: float):
+    """K_2 = 2 pi / sqrt((c + (r - y0)^2) (c + (r + y0)^2)); unchecked."""
+    s = math.sqrt(c)
+    return 2.0 * math.pi / np.hypot(s, r - y0_norm) / np.hypot(s, r + y0_norm)
+
+
+def _kernel_alpha4(r, c: float, y0_norm: float):
+    """K_4 = (2 pi / s) (-Im z) / |z|^2 with s = sqrt(c), a1,2 = (r -+ y0)^2 and
+    z = sqrt(a1 - j s) sqrt(a2 - j s) (principal roots); unchecked.
+
+    The root of a - j s is p - j s/(2p), p^2 = t/2, t = |a - j s| + a, so
+    K_4 = pi (t1 + t2) / (sqrt(t1 t2) |a1 - j s| |a2 - j s|): positive terms
+    only, divided one at a time so nothing overflows before (r + y0)^2 does.
+    """
+    s = math.sqrt(c)
+    a1 = (r - y0_norm) ** 2
+    a2 = (r + y0_norm) ** 2
+    m1 = np.hypot(a1, s)
+    m2 = np.hypot(a2, s)
+    t1 = m1 + a1
+    t2 = m2 + a2
+    return math.pi * (t1 + t2) / np.sqrt(t1) / np.sqrt(t2) / m1 / m2
+
+
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod engine
 # ---------------------------------------------------------------------------
 
 
 def _gk15(fn, a: float, b: float):
-    """One Gauss-Kronrod 7/15 panel on [a, b]; returns (value, error, 15)."""
+    """One Gauss-Kronrod 7/15 panel on [a, b]: (value, error, integral of |f|)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     y = np.asarray(fn(mid + half * _XGK), dtype=float)
     k = half * float(_WGK @ y)
     g = half * float(_WG @ y[1:14:2])
-    return k, abs(k - g)
+    return k, abs(k - g), half * float(_WGK @ np.abs(y))
 
 
 def _adaptive(pieces, tol: float, max_evals: int) -> IntegralResult:
-    """Bisect the worst panel until the summed error meets tol (abs or rel)."""
-    heap = []
+    """Bisect the worst panel until the summed error is at most tol * |total|.
+
+    Panels resolved to round-off are done; so is the whole integral once
+    every panel is.  A non-finite panel stops the loop unconverged.
+    """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    heap = []  # (-error, serial, a, b, value, error, fn); key 0.0 marks a done panel
     serial = 0
     evals = 0
-    for fn, a, b in pieces:
-        if a == b:
-            continue
-        val, err = _gk15(fn, a, b)
-        evals += 15
-        heapq.heappush(heap, (-err, serial, a, b, val, fn))
-        serial += 1
 
-    if not heap:
-        return IntegralResult(0.0, 0.0, True, evals)
+    def push(fn, a, b):
+        nonlocal serial, evals
+        val, err, resabs = _gk15(fn, a, b)
+        key = 0.0 if err <= _ROUNDOFF * resabs else -err
+        heapq.heappush(heap, (key, serial, a, b, val, err, fn))
+        serial += 1
+        evals += 15
+
+    for fn, a, b in pieces:
+        if a < b:
+            push(fn, a, b)
 
     while True:
+        total_err = math.fsum(item[5] for item in heap)
+        if not math.isfinite(total_err):
+            # a non-finite integrand value: bisecting around it cannot help
+            return IntegralResult(math.nan, math.inf, False, evals)
         total = math.fsum(item[4] for item in heap)
-        total_err = math.fsum(-item[0] for item in heap)
-        if total_err <= max(tol, tol * abs(total)):
+        if total_err <= tol * abs(total) or heap[0][0] == 0.0:
             return IntegralResult(total, total_err, True, evals)
         if evals + 30 > max_evals:
             return IntegralResult(total, total_err, False, evals)
-        neg_err, _, a, b, val, fn = heapq.heappop(heap)
+        _, _, a, b, val, err, fn = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # interval is at double-precision resolution: keep its value and
             # retire its (sub-ulp) error so the loop cannot spin on it
-            heapq.heappush(heap, (0.0, serial, a, b, val, fn))
+            heapq.heappush(heap, (0.0, serial, a, b, val, 0.0, fn))
             serial += 1
             continue
-        for lo, hi in ((a, mid), (mid, b)):
-            v, e = _gk15(fn, lo, hi)
-            heapq.heappush(heap, (-e, serial, lo, hi, v, fn))
-            serial += 1
-        evals += 30
+        push(fn, a, mid)
+        push(fn, mid, b)
 
 
 def _split_at_knots(a: float, b: float, knots: Sequence[float]):
@@ -245,85 +276,49 @@ def integrate_interval(
 ) -> IntegralResult:
     """Adaptive integral of a vectorised integrand over [a, b].
 
+    ``tol`` is relative: the summed error estimate must fall to
+    ``tol * |value|``, or every panel must be resolved to round-off.
     ``knots`` are inserted as panel boundaries so that integrands that are
     only piecewise smooth keep full convergence order.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     if b < a:
         raise DomainError("need a <= b")
     pieces = [(fn, lo, hi) for lo, hi in _split_at_knots(a, b, knots)]
     return _adaptive(pieces, tol, max_evals)
 
 
-def _guarded_product(weight_fn, kernel_fn):
-    """weight * kernel with the kernel skipped where the weight is 0.
-
-    Shape derivatives underflow to exactly 0 in their far tail while
-    log-growing kernels tend to infinity; evaluating the product naively
-    would produce 0 * inf = nan.
-    """
-
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        w = np.asarray(weight_fn(r), dtype=float)
-        out = np.zeros_like(w)
-        nz = w != 0.0
-        if np.any(nz):
-            out[nz] = w[nz] * np.asarray(kernel_fn(r[nz]), dtype=float)
-        return out
-
-    return fn
-
-
 def integrate_semi_infinite(
-    kernel: Callable,
-    weight: Union[ShapeFunction, Callable],
+    fn: Callable,
     tol: float = 1e-10,
     *,
-    knee: float | None = None,
+    knots: Sequence[float] = (),
+    knee: float = 1.0,
+    support_end: float | None = None,
     max_evals: int = MAX_EVALUATIONS,
 ) -> IntegralResult:
-    """Integrate weight(r) * kernel(r) over r in [0, infinity).
+    """Integrate a vectorised fn(r) over r in [0, infinity).
 
-    ``weight`` is either a ShapeFunction (its derivative is the weight and
-    its knots become split points) or a plain vectorised callable.  The
-    domain is split at ``knee`` and the tail is mapped through u = 1/(1+r)
-    so the adaptive rule works on finite panels only.  Whether the integral
-    converges for the weight's tail is the caller's concern.
+    ``tol`` is relative, as in ``integrate_interval``.  With a finite
+    ``support_end`` (fn vanishes beyond it) this is the integral over
+    [0, support_end].  Otherwise [0, knee] is integrated directly and the
+    tail beyond the knee through r = knee/u, u in (0, 1], so the adaptive
+    rule works on finite panels only and its first tail panel spans radii
+    from the knee to a few hundred knees.  Both parts split at the
+    ``knots``.  Whether the integral converges is the caller's concern.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-
-    knots: tuple[float, ...] = ()
-    support_end = None
-    if isinstance(weight, ShapeFunction):
-        weight_fn = weight.eval_deriv
-        knots = weight.knots
-        support_end = weight.support_end
-        if knee is None:
-            knee = max(1.0, 4.0 * weight.scale)
-    else:
-        weight_fn = weight
-        if knee is None:
-            knee = 1.0
-
-    fn = _guarded_product(weight_fn, kernel)
-
     if support_end is not None:
-        # nothing beyond the support: a finite integral suffices
         return integrate_interval(fn, 0.0, support_end, tol, knots=knots, max_evals=max_evals)
 
-    if knots:
-        knee = max(knee, 1.01 * max(knots))
-
-    u_knee = 1.0 / (1.0 + knee)
-
     def tail_fn(u):
-        u = np.asarray(u, dtype=float)
-        r = (1.0 - u) / u
-        return fn(r) / (u * u)
+        # r -> infinity at u = 0, where the integrand of a convergent
+        # integral is taken as 0
+        out = np.zeros_like(u)
+        pos = u > 0.0
+        r = knee / u[pos]
+        out[pos] = fn(r) * r / u[pos]
+        return out
 
+    tail_knots = [knee / k for k in knots if k > knee]
     pieces = [(fn, lo, hi) for lo, hi in _split_at_knots(0.0, knee, knots)]
-    pieces.append((tail_fn, 0.0, u_knee))
+    pieces += [(tail_fn, lo, hi) for lo, hi in _split_at_knots(0.0, 1.0, tail_knots)]
     return _adaptive(pieces, tol, max_evals)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .analytic import ChannelModel, LinkConfig, interference_driving_alpha4, laplace_transform
+from .analytic import ChannelModel, LinkConfig, interference_driving, laplace_transform
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -82,7 +82,7 @@ def log_divergence(
     if channel.fading.kind != "rayleigh":
         raise DomainError("the log-divergence closed form assumes Rayleigh fading")
     s = link.beta * link.d**4
-    a4 = interference_driving_alpha4(shape, link.y0_norm, s, tol)
+    a4 = interference_driving(shape, link.y0_norm, s, 4, tol)
     if not a4.converged:
         raise NonConvergence("driving-function quadrature did not converge", result=a4)
     stationary_term = math.pi**2 * float(shape.eval_f(link.y0_norm)) / (

@@ -121,12 +121,6 @@ class ShapeFunction:
             return self.tail.param
         return None
 
-    def limit_at_infinity(self) -> float:
-        """lim F(r) for r -> infinity, taken from the tail classification."""
-        if self.tail.kind is TailKind.NON_DECAYING:
-            return float(self.eval_f(1e12 * max(self.scale, 1.0)))
-        return 0.0
-
 
 def _plateau_pair(r0: float, r1: float):
     """Raised-cosine plateau: 1 on [0, r0], rolls off to 0 at r1."""

@@ -123,6 +123,13 @@ def campbell_mean(shape, alpha, c, lam, y0, r_hi):
     return lam * total
 
 
+def compact_mass(shape):
+    """2 pi int_0^R r F(r) dr of a compactly supported shape, by QUADPACK."""
+    val, _ = quad(lambda r: r * shape.eval_f(r), 0.0, shape.support_end,
+                  points=shape.knots or None, epsabs=0.0, epsrel=1e-13)
+    return 2.0 * math.pi * val
+
+
 def campbell_outage(shape, alpha, c, lam, y0, s, eta, beta):
     """Rayleigh outage 1 - exp(-beta/eta) L_I(s) by nested QUADPACK (Campbell route).
 

@@ -28,7 +28,7 @@ def test_criterion_01_stationary_mean_recovery():
     start = time.perf_counter()
     worst = 0.0
     for c in (0.25, 1.0, 4.0):
-        value = ip.interference_driving_alpha4(ip.constant_shape(1.0), 7.0, c).value
+        value = ip.interference_driving(ip.constant_shape(1.0), 7.0, c, 4).value
         target = math.pi**2 / (2.0 * math.sqrt(c))
         worst = max(worst, abs(value - target) / target)
     elapsed = time.perf_counter() - start
@@ -311,7 +311,7 @@ def test_criterion_08_sparse_dense_transition():
 
 def test_criterion_09_fh_ds_gain_scaling(scattered100):
     d, beta = 10.0, 0.5
-    a2 = ip.interference_driving_alpha2(scattered100, 0.0, beta * d * d).value
+    a2 = ip.interference_driving(scattered100, 0.0, beta * d * d, 2).value
     slope = math.pi * scattered100.f_zero * math.log(4.0) / a2
     ratios = {m: ip.fh_ds_gain(scattered100, d, beta, m).ratio for m in (1, 4, 16, 64, 256)}
     worst = max(

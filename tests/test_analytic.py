@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import isoppp as ip
 from isoppp.analytic import AsFinite
-from conftest import campbell_mean, rayleigh_channel, unit_channel
+from conftest import campbell_mean, compact_mass, rayleigh_channel, unit_channel
 
 # frozen oracle: QUADPACK value of pi * int_0^inf e^-r log(1+r^2) dr
 A2_SCATTERED_RHO1_ORIGIN = 2.1575073628606187
@@ -14,61 +15,112 @@ A2_SCATTERED_RHO1_ORIGIN = 2.1575073628606187
 class TestDrivingAlpha2:
     def test_nondecaying_diverges(self):
         with pytest.raises(ip.DivergentIntegral):
-            ip.interference_driving_alpha2(ip.constant_shape(1.0), 5.0, 1.0)
+            ip.interference_driving(ip.constant_shape(1.0), 5.0, 1.0, 2)
 
     def test_log_decay_diverges(self):
         with pytest.raises(ip.DivergentIntegral):
-            ip.interference_driving_alpha2(ip.log_decay_shape(10.0), 0.0, 1.0)
+            ip.interference_driving(ip.log_decay_shape(10.0), 0.0, 1.0, 2)
 
     def test_scattered_origin_frozen_value(self):
-        res = ip.interference_driving_alpha2(ip.scenario_scattered(1.0), 0.0, 1.0)
+        res = ip.interference_driving(ip.scenario_scattered(1.0), 0.0, 1.0, 2)
         assert res.converged
         assert res.value == pytest.approx(A2_SCATTERED_RHO1_ORIGIN, rel=1e-10)
 
     def test_power_tail_origin_closed_form(self):
         # analytic: -pi (log 1 + int f log(1+r^2) dr) with f of the nu=2,
         # r0=1 profile reduces to pi * int_1^inf log(u)/u^2 du = pi
-        res = ip.interference_driving_alpha2(ip.power_tail_shape(2.0, 1.0), 0.0, 1.0)
+        res = ip.interference_driving(ip.power_tail_shape(2.0, 1.0), 0.0, 1.0, 2)
         assert res.value == pytest.approx(math.pi, rel=1e-9)
 
     def test_positive_for_valid_shapes(self):
         for shape in (ip.scenario_scattered(50.0), ip.scenario_finite_network(40.0, 70.0)):
             for y0 in (0.0, 10.0, 200.0):
-                assert ip.interference_driving_alpha2(shape, y0, 1.0).value > 0.0
+                assert ip.interference_driving(shape, y0, 1.0, 2).value > 0.0
 
     def test_continuous_across_origin_handoff(self):
         # the asinh/log branch switch must not move the integral
         shape = ip.scenario_scattered(10.0)
         eps = 1e-6  # threshold at c=1
-        below = ip.interference_driving_alpha2(shape, eps * 0.5, 1.0).value
-        above = ip.interference_driving_alpha2(shape, eps * 2.0, 1.0).value
-        at_zero = ip.interference_driving_alpha2(shape, 0.0, 1.0).value
+        below = ip.interference_driving(shape, eps * 0.5, 1.0, 2).value
+        above = ip.interference_driving(shape, eps * 2.0, 1.0, 2).value
+        at_zero = ip.interference_driving(shape, 0.0, 1.0, 2).value
         assert below == pytest.approx(at_zero, rel=1e-9)
         assert above == pytest.approx(at_zero, rel=1e-9)
 
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ip.DomainError):
-            ip.interference_driving_alpha2(ip.scenario_scattered(1.0), 0.0, 0.0)
+            ip.interference_driving(ip.scenario_scattered(1.0), 0.0, 0.0, 2)
 
 
 class TestDrivingAlpha4:
     @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
     def test_stationary_recovery(self, c):
-        res = ip.interference_driving_alpha4(ip.constant_shape(1.0), 7.0, c)
+        res = ip.interference_driving(ip.constant_shape(1.0), 7.0, c, 4)
         assert res.value == pytest.approx(math.pi**2 / (2.0 * math.sqrt(c)), rel=1e-12)
 
     def test_stationary_at_origin(self):
-        res = ip.interference_driving_alpha4(ip.constant_shape(1.0), 0.0, 4.0)
+        res = ip.interference_driving(ip.constant_shape(1.0), 0.0, 4.0, 4)
         assert res.value == pytest.approx(math.pi**2 / 4.0, rel=1e-12)
 
     def test_partial_level(self):
-        res = ip.interference_driving_alpha4(ip.constant_shape(0.5), 3.0, 1.0)
+        res = ip.interference_driving(ip.constant_shape(0.5), 3.0, 1.0, 4)
         assert res.value == pytest.approx(0.5 * math.pi**2 / 2.0, rel=1e-12)
 
     def test_finite_even_for_carrier_sense_profile(self):
-        res = ip.interference_driving_alpha4(ip.scenario_carrier_sense(1e-5, 4.0), 0.0, 1.0)
+        res = ip.interference_driving(ip.scenario_carrier_sense(1e-5, 4.0), 0.0, 1.0, 4)
         assert res.converged
         assert 0.0 < res.value < math.pi**2 / 2.0
+
+
+FIG3 = ip.scenario_finite_network(500.0, 800.0)
+C25 = ip.scenario_scattered(25.0)
+
+
+class TestDrivingHardCases:
+    """Far-field, small-c and small-tol exponent-4 cases: each converges to a
+    nonnegative value within its budget."""
+
+    @pytest.mark.parametrize("shape,y0,c,tol", [
+        (FIG3, 6e3, 1.0, 1e-10),
+        (FIG3, 1e4, 1.0, 1e-10),
+        (FIG3, 1e6, 1.0, 1e-10),
+        (C25, 1e6, 1.0, 1e-10),
+        (ip.power_tail_shape(0.5, 50.0), 1e4, 1.0, 1e-10),
+        (ip.scenario_scattered(100.0), 3e3, 1e-2, 1e-10),
+        (ip.power_tail_shape(2.0, 50.0), 3e3, 1e-2, 1e-10),
+        (ip.scenario_carrier_sense(1e-5, 4.0), 3e3, 1e-2, 1e-10),
+        (FIG3, 2000.0, 5000.5, 1e-13),
+        (FIG3, 700.0, 5000.5, 1e-15),
+    ])
+    def test_converges_within_budget(self, shape, y0, c, tol):
+        start = time.perf_counter()
+        res = ip.interference_driving(shape, y0, c, 4, tol)
+        assert time.perf_counter() - start < 1.0
+        assert res.converged
+        assert res.value >= 0.0
+        if shape is FIG3 and c == 1.0:
+            mass, r_end = compact_mass(shape), shape.support_end
+            assert mass / (c + (y0 + r_end) ** 4) <= res.value <= mass / (c + (y0 - r_end) ** 4)
+        if shape is C25:
+            assert abs(res.value * y0**4 / (2.0 * math.pi * 625.0) - 1.0) <= 1e-6
+
+
+class TestDrivingInputs:
+    @pytest.mark.parametrize("y0,c,tol", [
+        (math.nan, 1.0, 1e-10), (math.inf, 1.0, 1e-10), (1.0, math.nan, 1e-10),
+        (1.0, math.inf, 1e-10), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+    ])
+    def test_non_finite_scalars_rejected(self, y0, c, tol):
+        for alpha in (2, 4):
+            with pytest.raises(ip.DomainError):
+                ip.interference_driving(ip.scenario_scattered(100.0), y0, c, alpha, tol)
+
+    def test_laplace_rejects_non_finite(self):
+        ch = rayleigh_channel(4, 1.0)
+        shape = ip.scenario_scattered(5.0)
+        for lam, y0, s in ((math.nan, 0.0, 1.0), (1e-3, math.nan, 1.0), (1e-3, 0.0, math.inf)):
+            with pytest.raises(ip.DomainError):
+                ip.laplace_transform(shape, ch, lam, y0, s)
 
 
 class TestMeanInterference:
@@ -150,7 +202,7 @@ class TestLaplaceTransform:
         shape = ip.power_tail_shape(2.5, 30.0)
         lam, y0, s = 5e-3, 12.0, 3.0
         value = ip.laplace_transform(shape, ch, lam, y0, s)
-        driving = ip.interference_driving_alpha4(shape, y0, s + 2.0).value
+        driving = ip.interference_driving(shape, y0, s + 2.0, 4).value
         assert math.log(value) == pytest.approx(-lam * s * driving, rel=1e-10)
 
     def test_requires_rayleigh(self):
@@ -228,3 +280,18 @@ def test_channel_validation():
         ip.ChannelModel(alpha=1.5, c=1.0, fading=ip.FadingLaw.rayleigh())
     with pytest.raises(ip.DomainError):
         ip.LinkConfig(-1.0, 0.0, 10.0, 0.5)
+
+
+@pytest.mark.parametrize("kwargs", [dict(alpha=math.nan), dict(c=math.nan), dict(c=math.inf)])
+def test_channel_rejects_non_finite(kwargs):
+    with pytest.raises(ip.DomainError):
+        ip.ChannelModel(**{"alpha": 4, "c": 1.0, "fading": ip.FadingLaw.rayleigh(), **kwargs})
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_link_rejects_non_finite(index, bad):
+    args = [1e-3, 0.0, 10.0, 0.5, 10.0]
+    args[index] = bad
+    with pytest.raises(ip.DomainError):
+        ip.LinkConfig(*args)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import isoppp as ip
+from isoppp import applications
 from conftest import rayleigh_channel
 
 
@@ -24,7 +25,7 @@ class TestLocalTransmissionCapacity:
         # plugs the independently validated A_2(o, beta d^2)
         shape = ip.scenario_scattered(100.0)
         ch = rayleigh_channel(2, 0.0)
-        a2 = ip.interference_driving_alpha2(shape, 0.0, 50.0).value
+        a2 = ip.interference_driving(shape, 0.0, 50.0, 2).value
         got = ip.local_transmission_capacity(shape, ch, _link(beta=0.5), 0.1)
         assert got == pytest.approx(-math.log(0.9) * 0.9 / (0.5 * 100.0 * a2), rel=1e-12)
 
@@ -74,7 +75,7 @@ class TestFhDsGain:
 
     def test_log_slope_of_ratio_sequence(self, scattered100):
         # per factor-4 step the exact ratio climbs by pi F(0) log 4 / A_2
-        a2 = ip.interference_driving_alpha2(scattered100, 0.0, 50.0).value
+        a2 = ip.interference_driving(scattered100, 0.0, 50.0, 2).value
         slope = math.pi * 1.0 * math.log(4.0) / a2
         ratios = {m: ip.fh_ds_gain(scattered100, 10.0, 0.5, m).ratio for m in (4, 16, 64, 256)}
         for m_prev, m in ((4, 16), (16, 64), (64, 256)):
@@ -87,7 +88,7 @@ class TestFhDsGain:
 
     def test_origin_density_recovered_at_large_m(self, scattered100):
         # (ratio - 1) A_2 / (pi log M) -> F(0) within 5% at M = 1e4
-        a2 = ip.interference_driving_alpha2(scattered100, 0.0, 50.0).value
+        a2 = ip.interference_driving(scattered100, 0.0, 50.0, 2).value
         gain = ip.fh_ds_gain(scattered100, 10.0, 0.5, 1e4)
         estimate = (gain.ratio - 1.0) * a2 / (math.pi * math.log(1e4))
         assert estimate == pytest.approx(1.0, rel=0.05)
@@ -105,6 +106,15 @@ class TestFhDsGain:
             )
             bound = (1.0 / 100.0) * math.pi * math.sqrt(s)
             assert abs(remainder) <= bound
+
+    def test_unconverged_driving_raises(self, monkeypatch, scattered100):
+        def unconverged(*args, **kwargs):
+            return ip.IntegralResult(value=1.0, abs_error=1.0, converged=False, evaluations=15)
+
+        monkeypatch.setattr(applications, "interference_driving", unconverged)
+        with pytest.raises(ip.NonConvergence) as info:
+            ip.fh_ds_gain(scattered100, 10.0, 0.5, 4.0)
+        assert not info.value.result.converged
 
     def test_no_saturation(self, scattered100):
         # the gain keeps growing with M (no cap), unlike the stationary model

@@ -29,7 +29,8 @@ def test_tracer_records_cli_spans_and_restores_patches(capsys):
         # bound at import time (and the tracer cannot see) shows here
         for argv, layers in (
             (["mean", "--shape", C100, "--alpha", "4", "--c", "1", "--y0", "5"],
-             {"analytic.entry", "shapes.eval"}),
+             {"analytic.entry", "shapes.eval", "analytic.driving.exponential",
+              "numerics.quad"}),
             (["outage", "--shape", C100, "--alpha", "4", "--c", "1", "--d", "10",
               "--beta", "0.5", "--sweep", "y0=0:100:50"], {"outage"}),
             (["csma", "--delta-db", "-50", "--lambda", "1e-3", "--beta", "1", "--d", "10"],

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import isoppp as ip
+from isoppp import bounds
 from conftest import rayleigh_channel, unit_channel
+
+
+def _unconverged(*args, **kwargs):
+    return ip.IntegralResult(value=1.0, abs_error=1.0, converged=False, evaluations=15)
 
 
 class TestSubharmonicRegion:
@@ -109,6 +114,16 @@ class TestLowerTailBound:
         with pytest.raises(ip.OutsideRegion):
             ip.lower_tail_bound(shape, ch, 1e-2, 0.2, 0.1)
 
+    @pytest.mark.parametrize("shape,quadrature", [
+        (ip.scenario_scattered(1.0), "integrate_interval"),
+        (ip.constant_shape(1.0), "integrate_semi_infinite"),
+    ])
+    def test_unconverged_quadrature_raises(self, monkeypatch, shape, quadrature):
+        monkeypatch.setattr(bounds, quadrature, _unconverged)
+        with pytest.raises(ip.NonConvergence) as info:
+            ip.lower_tail_bound(shape, rayleigh_channel(4, 1.0), 1e-2, 3.0, 0.1)
+        assert not info.value.result.converged
+
     def test_needs_tail_function(self):
         fading = ip.FadingLaw.custom(lambda rng, n: rng.exponential(1.0, n))
         ch = ip.ChannelModel(alpha=4, c=1.0, fading=fading)
@@ -128,6 +143,13 @@ class TestMarkovUpperTail:
         ch = rayleigh_channel(4, 1.0)
         got = ip.markov_upper_tail(shape, ch, 1e-3, 5.0, 1.0)
         assert got == pytest.approx(1e-3 * math.pi**2 / 2.0, rel=1e-12)
+
+    def test_unconverged_driving_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "interference_driving", _unconverged)
+        with pytest.raises(ip.NonConvergence) as info:
+            ip.markov_upper_tail(ip.scenario_scattered(50.0), rayleigh_channel(2, 1.0),
+                                 1e-3, 10.0, 1.0)
+        assert not info.value.result.converged
 
     def test_inverse_in_z_before_clamp(self):
         shape = ip.scenario_scattered(50.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ class TestOverflow:
         code, _, err = run_cli(capsys, *argv, "--shape", C100)
         assert code == 2
         assert err.startswith("isoppp: numeric overflow:")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("argv", [
+        ["laplace", "--shape", C100, "--alpha", "4", "--y0", "nan"],
+        ["outage", "--shape", C100, "--alpha", "4", "--y0", "nan"],
+        ["outage", "--shape", C100, "--alpha", "2", "--c", "nan"],
+        ["mean", "--shape", "constant", "--alpha", "4", "--y0", "nan"],
+        ["mean", "--shape", C100, "--alpha", "4", "--y0", "inf"],
+        ["mean", "--shape", C100, "--alpha", "4", "--sweep", "y0=0:nan:1"],
+    ])
+    def test_non_finite_is_config_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("isoppp: configuration error:")
 
 
 def test_import_path_skips_scipy_stats():

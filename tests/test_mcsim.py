@@ -19,7 +19,7 @@ class TestTruncationRadius:
     def test_scattered_bound_below_tolerance(self, scattered100):
         ch = rayleigh_channel(2, 1.0)
         res = ip.truncation_radius(scattered100, ch, 0.0, 1e-3)
-        mean = ip.interference_driving_alpha2(scattered100, 0.0, 1.0).value
+        mean = ip.interference_driving(scattered100, 0.0, 1.0, 2).value
         assert math.isfinite(res.radius)
         assert res.mean_tail_bound_per_intensity <= 1e-3 * mean
 
@@ -223,3 +223,7 @@ def test_sim_config_validation():
         ip.SimConfig(trials=0, seed=1)
     with pytest.raises(ip.DomainError):
         ip.SimConfig(trials=10, seed=1, truncation_tol_fraction=1.5)
+    with pytest.raises(ip.DomainError):
+        ip.SimConfig(trials=10, seed=1, max_radius_override=math.nan)
+    with pytest.raises(ip.DomainError):
+        ip.SimConfig(trials=10, seed=1, max_radius_override=math.inf)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -153,31 +154,27 @@ class TestArctanKernel:
 
 class TestIntegrateSemiInfinite:
     def test_total_derivative_mass(self):
-        res = ip.integrate_semi_infinite(
-            lambda r: np.ones_like(r), ip.scenario_scattered(1.0), 1e-10
-        )
+        res = ip.integrate_semi_infinite(ip.scenario_scattered(1.0).eval_deriv, 1e-10, knee=4.0)
         assert res.converged
         assert res.value == pytest.approx(-1.0, abs=1e-10)
 
     def test_log_kernel_against_reference(self):
         # frozen reference: QUADPACK value of -int_0^inf e^-r log(1+r^2) dr
         reference = -0.6867559231128539
-        res = ip.integrate_semi_infinite(
-            lambda r: np.log(r * r + 1.0), lambda r: -np.exp(-r), 1e-9
-        )
+        res = ip.integrate_semi_infinite(lambda r: -np.exp(-r) * np.log(r * r + 1.0), 1e-9)
         assert res.converged
         assert res.value == pytest.approx(reference, abs=1e-9)
 
     def test_compact_support_skips_tail(self):
         shape = ip.scenario_finite_network(400.0, 600.0)
-        res = ip.integrate_semi_infinite(lambda r: np.ones_like(r), shape, 1e-12)
+        res = ip.integrate_semi_infinite(
+            shape.eval_deriv, 1e-12, knots=shape.knots, support_end=shape.support_end
+        )
         assert res.converged
         assert res.value == pytest.approx(-1.0, rel=1e-12)
 
     def test_error_estimate_honoured(self):
-        res = ip.integrate_semi_infinite(
-            lambda r: np.ones_like(r), ip.scenario_scattered(2.0), 1e-8
-        )
+        res = ip.integrate_semi_infinite(ip.scenario_scattered(2.0).eval_deriv, 1e-8, knee=8.0)
         assert res.converged
         assert res.abs_error <= max(1e-8, 1e-8 * abs(res.value))
         assert res.abs_error >= 0.0
@@ -206,6 +203,37 @@ class TestIntegrateInterval:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ip.DomainError):
             ip.integrate_interval(lambda x: x, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(ip.DomainError):
+            ip.integrate_interval(lambda x: x, 0.0, 1.0, tol)
+
+    def test_roundoff_floor_ends_a_cancelling_integral(self):
+        # the exact value is 0, so no relative tolerance can be met; every
+        # panel must instead stop once resolved to round-off
+        start = time.perf_counter()
+        res = ip.integrate_interval(
+            lambda x: np.sin(x) + 1e-3 * np.cos(37.0 * x), 0.0, 2.0 * math.pi, 1e-10
+        )
+        assert time.perf_counter() - start < 1.0
+        assert res.converged
+        assert abs(res.value) <= 1e-12
+
+    def test_tolerance_is_relative(self):
+        res = ip.integrate_interval(lambda r: 1e-30 * np.exp(-r), 0.0, 50.0, 1e-10)
+        assert res.converged
+        assert res.value == pytest.approx(-1e-30 * math.expm1(-50.0), rel=1e-10)
+
+    def test_finds_mass_in_a_small_part_of_a_long_interval(self):
+        res = ip.integrate_interval(lambda r: r * np.exp(-r), 0.0, 1e4, 1e-12)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_non_finite_panel_stops_unconverged(self):
+        res = ip.integrate_interval(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-10)
+        assert not res.converged
+        assert res.evaluations == 15
 
 
 def test_integral_result_validation():

@@ -1,0 +1,106 @@
+"""Property tests of the driving function A_alpha(y0, c) over the scale extremes.
+
+Receiver offsets run from 0 to 1e6, path-loss constants from 1e-6 to 1e6 and
+shape scales across six decades.  Examples are derandomized, so every run
+checks the same points, and each has a wall-clock deadline, so a quadrature
+that bisects without end shows as a failure rather than a hang.
+"""
+
+import math
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import isoppp as ip
+from conftest import campbell_outage, compact_mass
+
+EXAMPLE_BUDGET = timedelta(seconds=1)
+PROPERTIES = settings(derandomize=True, database=None, deadline=EXAMPLE_BUDGET,
+                      max_examples=200)
+
+
+def _decades(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# family name -> (builder from a scale and one shape parameter in [0, 1], alphas)
+FAMILIES = {
+    "A": (lambda s, p: ip.scenario_finite_network(s, s * (1.1 + 2.0 * p)), (2, 4)),
+    "C": (lambda s, p: ip.scenario_scattered(s), (2, 4)),
+    "powerTail": (lambda s, p: ip.power_tail_shape(0.5 + 3.5 * p, s), (2, 4)),
+    "constant": (lambda s, p: ip.constant_shape(0.25 + 0.75 * p), (4,)),
+    "D": (lambda s, p: ip.scenario_carrier_sense(s**-4.0, 4.0), (4,)),
+}
+CASES = [(name, alpha) for name, (_, alphas) in FAMILIES.items() for alpha in alphas]
+
+offsets = st.one_of(st.just(0.0), _decades(1e-3, 1e6))
+constants = _decades(1e-6, 1e6)
+scales = _decades(1e-3, 1e3)
+params = st.floats(0.0, 1.0)
+
+
+def _driving(name, scale, p, y0, c, alpha):
+    return ip.interference_driving(FAMILIES[name][0](scale, p), y0, c, alpha)
+
+
+@PROPERTIES
+@given(case=st.sampled_from(CASES), scale=scales, p=params, y0=offsets, c=constants)
+def test_converged_finite_nonnegative(case, scale, p, y0, c):
+    res = _driving(case[0], scale, p, y0, c, case[1])
+    assert res.converged
+    assert math.isfinite(res.value) and math.isfinite(res.abs_error)
+    assert res.value >= 0.0
+
+
+@PROPERTIES
+@given(case=st.sampled_from(CASES), scale=scales, p=params, y0=offsets, c=constants,
+       rho=_decades(1e-3, 1e3))
+def test_scale_identity(case, scale, p, y0, c, rho):
+    # A[F(./rho)](rho y0, rho^alpha c) = rho^(2 - alpha) A[F](y0, c)
+    name, alpha = case
+    base = _driving(name, scale, p, y0, c, alpha).value
+    scaled = _driving(name, rho * scale, p, rho * y0, rho**alpha * c, alpha).value
+    assert scaled == pytest.approx(rho ** (2 - alpha) * base, rel=1e-9)
+
+
+@PROPERTIES
+@given(alpha=st.sampled_from((2, 4)), scale=scales, p=params, gap=_decades(1e-3, 1e3),
+       c=constants)
+def test_compact_far_field_bracket(alpha, scale, p, gap, c):
+    # every node of a deployment inside radius R sits at distance y0 -+ R
+    # or between from a receiver at y0 > R
+    shape = FAMILIES["A"][0](scale, p)
+    r_end = shape.support_end
+    y0 = r_end * (1.0 + gap)
+    mass = compact_mass(shape)
+    value = ip.interference_driving(shape, y0, c, alpha).value
+    # the slack covers the two quadratures' own relative tolerance
+    assert mass / (c + (y0 + r_end) ** alpha) * (1.0 - 1e-10) <= value
+    assert value <= mass / (c + (y0 - r_end) ** alpha) * (1.0 + 1e-10)
+
+
+@PROPERTIES
+@given(case=st.sampled_from([case for case in CASES if case[0] in ("A", "C", "powerTail")]),
+       scale=scales, p=params, y0=offsets, step=_decades(1e-3, 1e3), c=constants)
+def test_nonincreasing_in_offset(case, scale, p, y0, step, c):
+    # a radially nonincreasing density convolved with a radially decreasing
+    # path loss is radially nonincreasing
+    name, alpha = case
+    near = _driving(name, scale, p, y0, c, alpha)
+    far = _driving(name, scale, p, y0 + step * scale, c, alpha)
+    assert far.value <= near.value + near.abs_error + far.abs_error
+
+
+@settings(derandomize=True, database=None, deadline=timedelta(seconds=20), max_examples=20)
+@given(alpha=st.sampled_from((2, 4)), r0=st.floats(10.0, 1000.0), width=st.floats(0.1, 2.0),
+       y0=st.floats(0.0, 3.0), lam=_decades(1e-5, 1e-2), d=st.floats(1.0, 30.0),
+       beta=_decades(0.1, 10.0), c=_decades(1e-2, 1e2), eta_db=st.floats(0.0, 30.0))
+def test_outage_matches_campbell_oracle(alpha, r0, width, y0, lam, d, beta, c, eta_db):
+    shape = ip.scenario_finite_network(r0, r0 * (1.0 + width))
+    channel = ip.ChannelModel(alpha=alpha, c=c, fading=ip.FadingLaw.rayleigh())
+    link = ip.LinkConfig(lam, y0 * r0, d, beta, eta_db)
+    s = beta * (c + d**alpha)
+    oracle = campbell_outage(shape, alpha, c, lam, y0 * r0, s, link.eta, beta)
+    assert ip.outage_exact(shape, channel, link) == pytest.approx(oracle, abs=1e-9)
