@@ -42,6 +42,7 @@ from .errors import (
     IsopppError,
     NoFiniteTruncation,
     NonConvergence,
+    NumericOverflow,
     OutsideRegion,
     RequiresZeroC,
     UnsupportedAlpha,

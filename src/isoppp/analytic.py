@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentIntegral, DomainError, NonConvergence, UnsupportedAlpha, _check_finite
+from .errors import (DivergentIntegral, DomainError, NonConvergence, NumericOverflow,
+                     UnsupportedAlpha, _check_finite)
 from .numerics import IntegralResult, _kernel_alpha2, _kernel_alpha4, integrate_semi_infinite
 # unused here, but the benchmark's tracer (perfbench/tracer.py) patches them by name
 from .numerics import arctan_kernel, asinh_kernel  # noqa: F401
@@ -155,6 +156,41 @@ def _mean_finite(shape: ShapeFunction, alpha: float) -> bool:
 _KERNELS = {2: _kernel_alpha2, 4: _kernel_alpha4}
 
 
+def _threshold(beta: float, c: float, d: float, alpha: float) -> float:
+    """beta (c + d^alpha); NumericOverflow naming d and alpha when it is not a
+    finite double (numpy scalars give inf, Python floats raise)."""
+    with np.errstate(over="ignore"):
+        try:
+            value = beta * (c + d**alpha)
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise NumericOverflow(f"beta (c + d^alpha) overflows at d={d:g}, alpha={alpha:g}")
+    return value
+
+
+def _radial(shape: ShapeFunction, y0_norm: float, c: float, alpha: float, weight: Callable,
+            tol: float, support_end: float | None) -> IntegralResult:
+    """int_0^inf r weight(r) K_alpha(r) dr, split at the shape knots, at a knee
+    of 4 shape scales and at r = y0; ``support_end`` bounds weight's support."""
+    y = float(y0_norm)  # a product of floats overflows without a warning
+    if math.isinf(1e6 * y * y):
+        # the tail's first panel squares r + y0 at radii up to ~250 y0
+        raise NumericOverflow(f"offset y0={y0_norm:g} is too large: the kernels square r + y0")
+    kernel = _KERNELS[alpha]
+
+    def integrand(r):
+        return r * weight(r) * kernel(r, c, y0_norm)
+
+    return integrate_semi_infinite(
+        integrand,
+        tol,
+        knots=(*shape.knots, y0_norm),
+        knee=4.0 * shape.scale,
+        support_end=support_end,
+    )
+
+
 def interference_driving(
     shape: ShapeFunction, y0_norm: float, c: float, alpha: float, tol: float = 1e-10
 ) -> IntegralResult:
@@ -174,26 +210,12 @@ def interference_driving(
         raise DomainError(f"A_{alpha:g} needs c > 0, got c={c}")
     if y0_norm < 0:
         raise DomainError("offset must be nonnegative")
-    if math.isinf(1e6 * y0_norm * y0_norm):
-        # the tail's first panel squares r + y0 at radii up to ~250 y0
-        raise OverflowError(f"offset y0={y0_norm:g} is too large: the kernels square r + y0")
     if not _mean_finite(shape, alpha):
         raise DivergentIntegral(
             "mean interference at path-loss exponent 2 is infinite unless the "
             "density decays at least like a power law"
         )
-    kernel = _KERNELS[alpha]
-
-    def integrand(r):
-        return r * shape.eval_f(r) * kernel(r, c, y0_norm)
-
-    return integrate_semi_infinite(
-        integrand,
-        tol,
-        knots=(*shape.knots, y0_norm),
-        knee=4.0 * shape.scale,
-        support_end=shape.support_end,
-    )
+    return _radial(shape, y0_norm, c, alpha, shape.eval_f, tol, shape.support_end)
 
 
 def mean_interference(

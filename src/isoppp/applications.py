@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import ChannelModel, FadingLaw, LinkConfig, interference_driving
+from .analytic import ChannelModel, FadingLaw, LinkConfig, _threshold, interference_driving
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -41,7 +41,7 @@ def local_transmission_capacity(
         raise DomainError("transmission capacity closed form requires c = 0")
     if not math.isinf(link.eta):
         raise DomainError("transmission capacity closed form assumes a noise-free link")
-    s = link.beta * link.d**channel.alpha
+    s = _threshold(link.beta, channel.c, link.d, channel.alpha)
     a = interference_driving(shape, link.y0_norm, s, channel.alpha, tol)
     if not a.converged:
         raise NonConvergence("driving-function quadrature did not converge", result=a)

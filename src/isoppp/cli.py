@@ -470,11 +470,11 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"isoppp: quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except OverflowError as exc:  # NumericOverflow included
+        print(f"isoppp: numeric overflow: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except IsopppError as exc:
         print(f"isoppp: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OverflowError as exc:
-        print(f"isoppp: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"isoppp: {exc}", file=sys.stderr)

@@ -35,6 +35,10 @@ class OutsideRegion(DomainError):
     """Receiver offset is not interior to the required radial region."""
 
 
+class NumericOverflow(DomainError, OverflowError):
+    """Finite arguments whose path-loss product overflows a double."""
+
+
 class DegenerateDenominator(IsopppError, ZeroDivisionError):
     """A relative metric was requested where its denominator vanishes."""
 

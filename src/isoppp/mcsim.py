@@ -1,14 +1,14 @@
 """Monte-Carlo oracle for the analytic interference results.
 
 Samples the isotropic Poisson deployment by inverse-transform sampling of
-the radial density r F(r) (precomputed monotone table, checked at build time
-against direct quadrature of r F(r)) with uniform angles, applies fading,
-and accumulates interference statistics with 95% normal confidence
-half-widths.
+the radial density r F(r) (a trapezoid CDF table inverted by linear
+interpolation, checked at build time against direct quadrature of r F(r))
+with uniform angles, applies fading, and accumulates interference
+statistics with 95% normal confidence half-widths.
 
-Reproducibility contract: trial i draws from a generator seeded by
-(seed, i), so results are bit-identical for a fixed (seed, trials, config)
-no matter how trials are scheduled; reductions run in fixed trial order.
+Reproducibility contract: one run draws every trial, in order, from one
+generator seeded by ``seed``, and then the outage coins of all trials, so a
+fixed (seed, trials, config) gives a bit-identical outcome.
 Truncation of the sampling disc is never silent: the neglected-mean bound
 is reported in the outcome and consumers add it to their tolerances.
 """
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .analytic import ChannelModel, LinkConfig, _mean_finite, interference_driving
-from .errors import DomainError, NoFiniteTruncation, _check_finite
+from .analytic import ChannelModel, LinkConfig, _mean_finite, _threshold, interference_driving
+from .errors import DomainError, NoFiniteTruncation, NonConvergence, _check_finite
 from .numerics import integrate_interval, integrate_semi_infinite
-from .shapes import ShapeFunction, TailKind
+from .shapes import ShapeFunction
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -148,10 +148,12 @@ def truncation_radius(
             "unbounded path loss (c = 0) has no finite-mean truncation "
             "reference; pass a radius override to simulate it anyway"
         )
+    reference = None
     if channel.alpha in (2, 4):
-        reference = interference_driving(shape, y0_norm, channel.c, channel.alpha, 1e-9).value
-    else:
-        reference = None
+        driving = interference_driving(shape, y0_norm, channel.c, channel.alpha, 1e-9)
+        if not driving.converged:
+            raise NonConvergence("truncation reference did not converge", result=driving)
+        reference = driving.value
 
     radius = max(2.0 * shape.scale, 2.0 * y0_norm, 1.0)
     for _ in range(60):
@@ -170,10 +172,10 @@ def truncation_radius(
 class PointProcessSampler:
     """Inverse-transform sampler of the isotropic deployment on a disc.
 
-    The radial CDF of r F(r) is tabulated on a logarithmic grid (shape knots
-    inserted) and inverted with a monotone cubic interpolant.  At build time
-    the sampler checks its table: the interpolant's 64 equal-probability
-    bins must each hold 1/64 of the mass of r F(r), computed by direct
+    The radial CDF of r F(r) is a trapezoid table on a logarithmic grid
+    (shape knots inserted), inverted by linear interpolation.  At build time
+    the sampler checks its table: the inverse's 64 equal-probability bins
+    must each hold 1/64 of the mass of r F(r), computed by direct
     quadrature, to a relative tolerance of 1e-3.  If a bin misses, the knot
     count is doubled and the table rebuilt; after three rebuilds the sampler
     raises DomainError.
@@ -233,7 +235,7 @@ class PointProcessSampler:
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         cum /= cum[-1]
         keep = np.concatenate(([True], np.diff(cum) > 0.0))
-        self._inverse = PchipInterpolator(cum[keep], grid[keep], extrapolate=False)
+        self._inverse = partial(np.interp, xp=cum[keep], fp=grid[keep])
 
     def _table_bin_error(self) -> float:
         """Largest relative deviation of a table bin's quadrature mass from
@@ -297,27 +299,23 @@ def simulate(
 
     trials = sim_cfg.trials
     interference = np.empty(trials)
-    tail_hits = None if z_arr is None else np.empty((trials, z_arr.size))
-    laplace_rows = None if s_arr is None else np.empty((trials, s_arr.size))
-    outage_hits = np.empty(trials) if want_outage else None
-
     noise = 0.0 if math.isinf(link.eta) else 1.0 / link.eta
-    gain_inv = c + link.d**alpha  # 1 / ell(d)
+    gain_inv = _threshold(1.0, c, link.d, alpha)  # 1 / ell(d)
 
+    rng = np.random.default_rng(sim_cfg.seed)
     for i in range(trials):
-        rng = np.random.default_rng([sim_cfg.seed, i])
         radii, angles = sampler.sample(rng)
         g = np.asarray(fading_sampler(rng, radii.size), dtype=float)
         d2 = radii**2 + y0**2 - 2.0 * radii * y0 * np.cos(angles)
-        total = float(np.sum(g / (c + d2 ** (alpha / 2.0))))
-        interference[i] = total
-        if tail_hits is not None:
-            tail_hits[i] = total >= z_arr
-        if laplace_rows is not None:
-            laplace_rows[i] = np.exp(-s_arr * total)
-        if outage_hits is not None:
-            g0 = float(np.asarray(fading_sampler(rng, 1), dtype=float)[0])
-            outage_hits[i] = 1.0 if g0 < link.beta * (noise + total * gain_inv) else 0.0
+        interference[i] = np.sum(g / (c + d2 ** (alpha / 2.0)))
+
+    tail_hits = None if z_arr is None else interference[:, None] >= z_arr
+    laplace_rows = None if s_arr is None else np.exp(-np.outer(interference, s_arr))
+    outage_hits = None
+    if want_outage:
+        # drawn after every field, so requesting outage leaves the interference unchanged
+        g0 = np.asarray(fading_sampler(rng, trials), dtype=float)
+        outage_hits = g0 < link.beta * (noise + interference * gain_inv)
 
     mean = float(np.mean(interference))
     mean_hw = _Z95 * float(np.std(interference, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf

@@ -31,7 +31,8 @@ from .errors import DomainError
 MAX_EVALUATIONS = 10**6
 # a panel whose error estimate is at most this multiple of the integral of
 # |f| over it is resolved to round-off and is not bisected further
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_ROUNDOFF = 50.0 * _EPS
 
 # 15-point Kronrod extension of the 7-point Gauss rule (nodes symmetric
 # about 0 on [-1, 1]; the Gauss nodes are every second Kronrod node).
@@ -217,43 +218,61 @@ def _adaptive(pieces, tol: float, max_evals: int) -> IntegralResult:
     """Bisect the worst panel until the summed error is at most tol * |total|.
 
     Panels resolved to round-off are done; so is the whole integral once
-    every panel is.  A non-finite panel stops the loop unconverged.
+    every panel is.  A non-finite panel stops the loop unconverged.  The
+    stopping test runs on running sums, widened by a bound on their rounding
+    drift, and a stop is confirmed on exact ``math.fsum`` sums, so the panels
+    bisected are those that exact sums after every bisection would choose.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     heap = []  # (-error, serial, a, b, value, error, fn); key 0.0 marks a done panel
     serial = 0
     evals = 0
+    total = total_err = 0.0
+    drift = 0.0  # sum of |running sums| after each update: rounding <= eps/2 drift
 
     def push(fn, a, b):
-        nonlocal serial, evals
+        nonlocal serial, evals, total, total_err, drift
         val, err, resabs = _gk15(fn, a, b)
         key = 0.0 if err <= _ROUNDOFF * resabs else -err
         heapq.heappush(heap, (key, serial, a, b, val, err, fn))
         serial += 1
         evals += 15
+        total += val
+        total_err += err
+        drift += abs(total) + total_err
+
+    def exact():
+        return math.fsum(item[4] for item in heap), math.fsum(item[5] for item in heap)
 
     for fn, a, b in pieces:
         if a < b:
             push(fn, a, b)
 
     while True:
-        total_err = math.fsum(item[5] for item in heap)
         if not math.isfinite(total_err):
             # a non-finite integrand value: bisecting around it cannot help
             return IntegralResult(math.nan, math.inf, False, evals)
-        total = math.fsum(item[4] for item in heap)
-        if total_err <= tol * abs(total) or heap[0][0] == 0.0:
-            return IntegralResult(total, total_err, True, evals)
+        slack = 4.0 * _EPS * drift
+        if total_err - slack <= tol * (abs(total) + slack) * (1.0 + _EPS) or heap[0][0] == 0.0:
+            total, total_err = exact()
+            drift = abs(total) + total_err
+            if total_err <= tol * abs(total) or heap[0][0] == 0.0:
+                return IntegralResult(total, total_err, True, evals)
         if evals + 30 > max_evals:
-            return IntegralResult(total, total_err, False, evals)
+            return IntegralResult(*exact(), False, evals)
         _, _, a, b, val, err, fn = heapq.heappop(heap)
+        total -= val
+        total_err -= err
+        drift += abs(total) + total_err
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # interval is at double-precision resolution: keep its value and
             # retire its (sub-ulp) error so the loop cannot spin on it
             heapq.heappush(heap, (0.0, serial, a, b, val, 0.0, fn))
             serial += 1
+            total += val
+            drift += abs(total)
             continue
         push(fn, a, mid)
         push(fn, mid, b)

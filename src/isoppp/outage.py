@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .analytic import ChannelModel, LinkConfig, interference_driving, laplace_transform
+from .analytic import ChannelModel, LinkConfig, _radial, _threshold, laplace_transform
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -24,7 +24,7 @@ def outage_exact(
 
     The noise factor exp(-beta/eta) is 1 for a noise-free link.
     """
-    s = link.beta * (channel.c + link.d**channel.alpha)
+    s = _threshold(link.beta, channel.c, link.d, channel.alpha)
     transform = laplace_transform(shape, channel, link.lambda_scale, link.y0_norm, s, tol)
     noise = 0.0 if math.isinf(link.eta) else link.beta / link.eta
     value = 1.0 - transform * math.exp(-noise)
@@ -70,7 +70,10 @@ def log_divergence(
         gamma(y0) = d^4 beta (pi^2 F(|y0|) / (2 d^2 sqrt(beta))
                               - A_4(y0, beta d^4)),
 
-    which is what this function computes; it is independent of lambda.
+    independent of lambda.  Since pi^2 / (2 d^2 sqrt(beta)) is the integral
+    of r K_4(r) with c = beta d^4, it is computed as the single integral
+    s int_0^inf r (F(|y0|) - F(r)) K_4(r) dr, s = beta d^4, which does not
+    cancel two nearly equal terms far from the shape's features.
     Positive values mean the local approximation overestimates outage.
     """
     if channel.alpha != 4:
@@ -81,14 +84,16 @@ def log_divergence(
         raise DomainError("the log-divergence closed form assumes a noise-free link")
     if channel.fading.kind != "rayleigh":
         raise DomainError("the log-divergence closed form assumes Rayleigh fading")
-    s = link.beta * link.d**4
-    a4 = interference_driving(shape, link.y0_norm, s, 4, tol)
-    if not a4.converged:
-        raise NonConvergence("driving-function quadrature did not converge", result=a4)
-    stationary_term = math.pi**2 * float(shape.eval_f(link.y0_norm)) / (
-        2.0 * link.d**2 * math.sqrt(link.beta)
-    )
-    return link.d**4 * link.beta * (stationary_term - a4.value)
+    s = _threshold(link.beta, channel.c, link.d, 4)
+    if s == 0.0:
+        raise DomainError(f"beta d^4 underflows to 0 at d={link.d:g}; the kernel needs it positive")
+    f_y0 = float(shape.eval_f(link.y0_norm))
+    # beyond the shape's support the weight is F(y0): zero only for y0 outside it
+    support_end = shape.support_end if f_y0 == 0.0 else None
+    gap = _radial(shape, link.y0_norm, s, 4, lambda r: f_y0 - shape.eval_f(r), tol, support_end)
+    if not gap.converged:
+        raise NonConvergence("log-divergence quadrature did not converge", result=gap)
+    return s * gap.value
 
 
 def relative_error(

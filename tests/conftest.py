@@ -158,3 +158,22 @@ def campbell_outage(shape, alpha, c, lam, y0, s, eta, beta):
     total, _ = quad(radial, 0.0, r_end, points=inner or None,
                     epsabs=0.0, epsrel=1e-13, limit=200)
     return 1.0 - math.exp(-beta / eta) * math.exp(-lam * total)
+
+
+def campbell_divergence(shape, y0, d, beta):
+    """log_divergence reference: s int_0^inf (F(y0) - F(r)) r K_4(r) dr with
+    s = beta d^4 and c = s, the angular integral r K_4 from
+    ``brute_angular_alpha4`` and the radial one by QUADPACK, split at y0 and
+    the shape knots below four times the largest length scale."""
+    s = beta * d**4
+    f_y0 = float(shape.eval_f(y0))
+
+    def radial(r):
+        return (f_y0 - float(shape.eval_f(r))) * brute_angular_alpha4(r, s, y0)
+
+    edge = 4.0 * max(y0, shape.scale, d)
+    points = sorted({k for k in (*shape.knots, y0) if 0.0 < k < edge})
+    near, _ = quad(radial, 0.0, edge, points=points or None, epsabs=0.0, epsrel=1e-12,
+                   limit=500)
+    far, _ = quad(radial, edge, math.inf, epsabs=0.0, epsrel=1e-12, limit=500)
+    return s * (near + far)

@@ -1,9 +1,11 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +270,42 @@ class TestOverflow:
         assert err.startswith("isoppp: numeric overflow:")
 
 
+class TestPathLossOverflow:
+    # beta (c + d^alpha) overflows a double at d = 1e200 and alpha = 4
+    FORMS = {
+        "outage": ["--c", "1"],
+        "capacity": ["--epsilon", "0.1"],
+        "divergence": [],
+        "relerror": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FORMS))
+    def test_single_value_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--shape", C100, "--alpha", "4",
+                                 "--d", "1e200", *self.FORMS[command])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("isoppp: numeric overflow:")
+        assert "d=1e+200" in err and "alpha=4" in err
+
+    @pytest.mark.parametrize("command", sorted(FORMS))
+    def test_sweep_fills_overflowing_rows(self, capsys, command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, command, "--shape", C100, "--alpha", "4",
+                                   "--sweep", "d=10:1e200:5e199", *self.FORMS[command])
+        assert code == 0
+        assert caught == []
+        header, first, *overflowing = csv.reader(out.splitlines()[1:])
+        assert header[-1] == "error"
+        assert first[-1] == ""
+        assert len(overflowing) == 2
+        for row in overflowing:
+            assert row[1] == ""
+            assert row[-1].startswith("NumericOverflow: ")
+            assert "alpha=4" in row[-1]
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("argv", [
         ["laplace", "--shape", C100, "--alpha", "4", "--y0", "nan"],
@@ -287,8 +325,8 @@ class TestNonFinite:
 
 
 def test_import_path_skips_scipy_stats():
-    # scipy.stats costs about half a second of start-up and nothing in the
-    # package needs it; run in a fresh interpreter so test imports don't count
+    # scipy is a test-only dependency: no scipy module at all may load at
+    # run time; run in a fresh interpreter so test imports don't count
     forms = [
         ["mean", "--shape", C100, "--alpha", "4", "--lambda", "1e-3"],
         ["simulate", "--shape", C100, "--alpha", "4", "--lambda", "1e-3",
@@ -300,7 +338,8 @@ def test_import_path_skips_scipy_stats():
         "import isoppp\n"
         "from isoppp.cli import main\n"
         f"codes = [main(argv) for argv in {forms!r}]\n"
-        "print(codes, 'scipy.stats' in sys.modules, file=sys.stderr)\n"
+        "loaded = any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        "print(codes, loaded, file=sys.stderr)\n"
     )
     src = os.path.dirname(os.path.dirname(isoppp.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 import isoppp as ip
+from isoppp import mcsim
 from conftest import rayleigh_channel, unit_channel
 
 
@@ -34,6 +35,13 @@ class TestTruncationRadius:
     def test_zero_c_needs_override(self):
         with pytest.raises(ip.DomainError):
             ip.truncation_radius(ip.scenario_scattered(10.0), rayleigh_channel(4, 0.0), 0.0, 1e-3)
+
+    def test_unconverged_reference_raises(self, monkeypatch, scattered100):
+        unconverged = ip.IntegralResult(1.0, 1.0, False, 10**6)
+        monkeypatch.setattr(mcsim, "interference_driving", lambda *args: unconverged)
+        with pytest.raises(ip.NonConvergence) as info:
+            ip.truncation_radius(scattered100, rayleigh_channel(2, 1.0), 0.0, 1e-3)
+        assert info.value.result is unconverged
 
 
 class TestPointProcessSampler:
@@ -178,6 +186,20 @@ class TestReproducibility:
         a = ip.simulate(scattered100, ch, link, ip.SimConfig(500, 1))
         b = ip.simulate(scattered100, ch, link, ip.SimConfig(500, 2))
         assert a.mean != b.mean
+
+    def test_one_generator_per_run(self, monkeypatch, scattered100):
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        link = ip.LinkConfig(1e-3, 10.0, 10.0, 0.5, math.inf)
+        ip.simulate(scattered100, rayleigh_channel(2, 1.0), link, ip.SimConfig(200, 3),
+                    z_grid=[0.01], s_grid=[1.0], want_outage=True)
+        assert made == [(3,)]
 
     def test_interference_stream_independent_of_requests(self, scattered100):
         # the outage coin g0 is drawn after the field, so requesting outage

@@ -1,4 +1,5 @@
 import cmath
+import heapq
 import math
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import isoppp as ip
+from isoppp import numerics
 from conftest import angular_closed_form, brute_angular_alpha4, kappa
 
 
@@ -234,6 +236,57 @@ class TestIntegrateInterval:
         res = ip.integrate_interval(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-10)
         assert not res.converged
         assert res.evaluations == 15
+
+    def test_exhausting_the_default_budget_takes_seconds(self):
+        # this integral misses its tolerance within the default budget; a
+        # re-sum of every panel after each bisection made that cost O(panels^2)
+        start = time.perf_counter()
+        res = ip.interference_driving(ip.power_tail_shape(0.5, 50.0), 1e100, 1.0, 2)
+        assert time.perf_counter() - start < 5.0
+        assert not res.converged
+        assert res.evaluations > numerics.MAX_EVALUATIONS - 30
+
+    @pytest.mark.parametrize("fn, a, b, tol", [
+        (lambda x: np.sin(x) + 1e-3 * np.cos(37.0 * x), 0.0, 2.0 * math.pi, 1e-10),
+        (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-13),
+        (lambda x: np.exp(-x) * np.cos(50.0 * x), 0.0, 30.0, 1e-14),
+        (lambda x: np.log(x) * np.sin(1.0 / (x + 1e-3)), 0.0, 1.0, 1e-11),
+        (lambda x: np.sin(1.0 / x), 0.0, 1.0, 1e-14),
+    ], ids=["cancelling", "endpoint-singularity", "oscillating", "log-oscillating",
+            "out-of-budget"])
+    def test_running_sums_stop_where_exact_sums_do(self, fn, a, b, tol):
+        got = ip.integrate_interval(fn, a, b, tol, max_evals=60_000)
+        assert got == _exact_sum_reference(fn, a, b, tol, 60_000)
+
+
+def _exact_sum_reference(fn, a, b, tol, max_evals):
+    """The adaptive loop with both sums re-taken by math.fsum after every
+    bisection: the stopping rule that the running sums must reproduce."""
+    heap, serial, evals = [], 0, 0
+
+    def push(lo, hi):
+        nonlocal serial, evals
+        val, err, resabs = numerics._gk15(fn, lo, hi)
+        key = 0.0 if err <= numerics._ROUNDOFF * resabs else -err
+        heapq.heappush(heap, (key, serial, lo, hi, val, err))
+        serial, evals = serial + 1, evals + 15
+
+    push(a, b)
+    while True:
+        total_err = math.fsum(item[5] for item in heap)
+        total = math.fsum(item[4] for item in heap)
+        if total_err <= tol * abs(total) or heap[0][0] == 0.0:
+            return ip.IntegralResult(total, total_err, True, evals)
+        if evals + 30 > max_evals:
+            return ip.IntegralResult(total, total_err, False, evals)
+        _, _, lo, hi, val, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            heapq.heappush(heap, (0.0, serial, lo, hi, val, 0.0))
+            serial += 1
+            continue
+        push(lo, mid)
+        push(mid, hi)
 
 
 def test_integral_result_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isoppp as ip
-from conftest import rayleigh_channel
+from conftest import campbell_divergence, rayleigh_channel
 
 
 def _link(lam=1e-3, y0=0.0, d=10.0, beta=1.0, eta_db=math.inf):
@@ -114,6 +114,14 @@ class TestLogDivergence:
         ch = rayleigh_channel(4, 0.0)
         gamma = ip.log_divergence(ip.scenario_carrier_sense(1e-5, 4.0), ch, _link(y0=0.0))
         assert gamma < -10.0
+
+    @pytest.mark.parametrize("y0", [0.0, 100.0, 300.0, 750.0, 1500.0])
+    def test_matches_quadpack_away_from_the_hole(self, y0):
+        # far from the hole gamma is tiny beside each O(1) term of the closed
+        # form, so it must not be formed as their difference
+        shape = ip.scenario_carrier_sense(1e-5, 4.0)
+        gamma = ip.log_divergence(shape, rayleigh_channel(4, 0.0), _link(y0=y0, beta=0.5))
+        assert gamma == pytest.approx(campbell_divergence(shape, y0, 10.0, 0.5), rel=1e-9)
 
     def test_preconditions(self):
         with pytest.raises(ip.UnsupportedAlpha):
