@@ -112,6 +112,8 @@ class LinkConfig:
                       beta=self.beta)
         if self.eta_db != math.inf:
             _check_finite(eta_db=self.eta_db)
+        if self.eta_db < 0 and self.eta == 0.0:
+            raise DomainError(f"a mean SNR of {self.eta_db:g} dB underflows to 0")
         if self.lambda_scale <= 0:
             raise DomainError("intensity scale must be positive")
         if self.d <= 0:
@@ -132,7 +134,6 @@ class LinkConfig:
 class AsFinite(Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,9 @@ def _mean_finite(shape: ShapeFunction, alpha: float) -> bool:
 
 
 _KERNELS = {2: _kernel_alpha2, 4: _kernel_alpha4}
+# offsets beyond this many kernel peak widths c^(1/alpha) are refused: one ulp
+# of y0 is then 1e-6 of a width, and node rounding costs ~1e-8 of the value
+_MAX_PEAK_WIDTHS = 1e10
 
 
 def _threshold(beta: float, c: float, d: float, alpha: float) -> float:
@@ -171,24 +175,44 @@ def _threshold(beta: float, c: float, d: float, alpha: float) -> float:
 
 def _radial(shape: ShapeFunction, y0_norm: float, c: float, alpha: float, weight: Callable,
             tol: float, support_end: float | None) -> IntegralResult:
-    """int_0^inf r weight(r) K_alpha(r) dr, split at the shape knots, at a knee
-    of 4 shape scales and at r = y0; ``support_end`` bounds weight's support."""
+    """int_0^inf r weight(r) K_alpha(r) dr; ``support_end`` bounds weight's support.
+
+    K_alpha peaks at r = y0 with width w = c^(1/alpha).  The integral splits
+    at the shape knots, at y0, and at y0 -+ w 2^k and 4 scale 2^k below y0;
+    the tail map starts at max(4 scale, 2 y0).  Past _MAX_PEAK_WIDTHS widths,
+    a peak inside weight's support raises DomainError.
+    """
     y = float(y0_norm)  # a product of floats overflows without a warning
-    if math.isinf(1e6 * y * y):
-        # the tail's first panel squares r + y0 at radii up to ~250 y0
-        raise NumericOverflow(f"offset y0={y0_norm:g} is too large: the kernels square r + y0")
+    knee = max(4.0 * shape.scale, 2.0 * y)
+    if math.isinf(1e6 * knee * knee):
+        # the tail's first panel squares r + y0 at radii up to ~250 knees
+        raise NumericOverflow(f"offset y0={y0_norm:g} or shape scale {shape.scale:g} is too "
+                              "large: the kernels square radii beyond both")
+    width = c ** (1.0 / alpha)
+    if y > _MAX_PEAK_WIDTHS * width and (support_end is None or y < support_end):
+        raise DomainError(
+            f"offset y0={y0_norm:g} exceeds {_MAX_PEAK_WIDTHS:g} kernel peak widths "
+            f"c^(1/alpha)={width:g}: the peak at r = y0 is not resolved in double precision"
+        )
     kernel = _KERNELS[alpha]
 
     def integrand(r):
         return r * weight(r) * kernel(r, c, y0_norm)
 
+    flanks = _doublings(width, y)
     return integrate_semi_infinite(
         integrand,
         tol,
-        knots=(*shape.knots, y0_norm),
-        knee=4.0 * shape.scale,
+        knots=(*shape.knots, *_doublings(4.0 * shape.scale, y), y, *(y - flanks), *(y + flanks)),
+        knee=knee,
         support_end=support_end,
     )
+
+
+def _doublings(start: float, end: float) -> np.ndarray:
+    """start 2^k for k = 0, 1, ... while below end."""
+    count = math.ceil(math.log2(end / start)) if end > start else 0
+    return start * 2.0 ** np.arange(count)
 
 
 def interference_driving(
@@ -293,14 +317,8 @@ def classify_finiteness(shape: ShapeFunction, channel: ChannelModel) -> Finitene
         kind is TailKind.POWER_DECAY and (shape.tail.param or 0.0) > 2.0
     )
     mean_finite = _mean_finite(shape, channel.alpha)
-    if mean_finite:
-        as_finite = AsFinite.YES
-    elif kind in (TailKind.NON_DECAYING, TailKind.LOG_DECAY):
-        as_finite = AsFinite.NO
-    else:
-        as_finite = AsFinite.UNKNOWN
     return FinitenessVerdict(
         mean_interference_finite=mean_finite,
         expected_count_finite=count_finite,
-        interference_as_finite=as_finite,
+        interference_as_finite=AsFinite.YES if mean_finite else AsFinite.NO,
     )

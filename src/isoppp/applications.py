@@ -45,6 +45,8 @@ def local_transmission_capacity(
     a = interference_driving(shape, link.y0_norm, s, channel.alpha, tol)
     if not a.converged:
         raise NonConvergence("driving-function quadrature did not converge", result=a)
+    if s * a.value == 0.0:
+        raise DegenerateDenominator("the interference exponent underflows to 0")
     return -math.log1p(-epsilon) * (1.0 - epsilon) / (s * a.value)
 
 
@@ -81,6 +83,8 @@ def fh_ds_gain(
     for a in (base, hopped):
         if not a.converged:
             raise NonConvergence("driving-function quadrature did not converge", result=a)
+    if base.value == 0.0:
+        raise DegenerateDenominator("the driving function at the centre underflows to 0")
     asymptote = 1.0 + math.pi * shape.f_zero * math.log(m) / base.value
     return FhDsGain(ratio=hopped.value / base.value, asymptote=asymptote)
 

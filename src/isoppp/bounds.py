@@ -2,10 +2,12 @@
 
 Upper bound: Markov's inequality applied to the closed-form mean.  Lower
 bound: the dominant-interferer construction, valid wherever the intensity is
-subharmonic (radial Laplacian F''(r) + F'(r)/r >= 0); a single node inside
-the largest disc around the receiver that fits in the subharmonic region
-already pushes the interference past the threshold with the stated
-probability.
+subharmonic; a single node inside the largest disc around the receiver that
+fits in the subharmonic region already pushes the interference past the
+threshold with the stated probability.  The radial Laplacian of F is
+(r f(r))' / r with f = F', so F is subharmonic exactly where the
+dimensionless r f(r) is nondecreasing, (r f)' >= 0; that test does not
+depend on the unit of length.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .errors import DomainError, NonConvergence, OutsideRegion
 from .numerics import integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
-SUBHARMONIC_TOL = -1e-12
+# r f(r) may fall by at most this much across a grid cell (it is dimensionless)
+_RF_DROP = 1e-12
 _PROBE_DOUBLINGS = 20
 
 
@@ -40,38 +43,33 @@ class RadialRegion:
             prev_hi = hi
 
 
-def _radial_laplacian(shape: ShapeFunction, r: np.ndarray, h: float) -> np.ndarray:
-    """F''(r) + F'(r)/r via a central difference of the analytic derivative."""
+def _rf_nondecreasing(shape: ShapeFunction, r: np.ndarray, h: float) -> np.ndarray:
+    """Whether r f(r) falls by at most the drop tolerance from r - h to r + h."""
     f = shape.eval_deriv
-    fpp = (np.asarray(f(r + h)) - np.asarray(f(r - h))) / (2.0 * h)
-    return fpp + np.asarray(f(r)) / r
+    rise = (r + h) * np.asarray(f(r + h)) - (r - h) * np.asarray(f(r - h))
+    return rise >= -_RF_DROP
 
 
-def subharmonic_region(
-    shape: ShapeFunction, grid_step: float, *, r_max: float | None = None
-) -> RadialRegion:
-    """Radii where the intensity is subharmonic, detected on a grid.
+def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
+    """Radii where the intensity is subharmonic, detected on a grid out to
+    twice the shape scale (and past the last knot).
 
-    Grid points within one step of a shape knot are excluded (finite
-    differences straddling a knot are meaningless), which conservatively
-    shrinks the detected intervals.  When the last grid point qualifies, the
-    final interval is extended to infinity provided the Laplacian also
-    passes at geometrically growing probe radii.
+    Grid points within one step of a shape knot are excluded (differences
+    straddling a knot are meaningless), which conservatively shrinks the
+    detected intervals.  When the last grid point qualifies, the final
+    interval is extended to infinity provided the test also passes at
+    geometrically growing probe radii.
     """
     if grid_step <= 0:
         raise DomainError("grid step must be positive")
-    if r_max is None:
-        r_max = max(2.0 * shape.scale, 10.0 * grid_step)
-        if shape.knots:
-            r_max = max(r_max, 1.2 * max(shape.knots))
+    r_max = max(2.0 * shape.scale, 10.0 * grid_step, 1.2 * max(shape.knots, default=0.0))
     n = int(math.floor(r_max / grid_step))
     if n < 4:
         raise DomainError("grid too coarse for the requested radius range")
     if n > 2 * 10**6:
         raise DomainError("grid too fine for the requested radius range")
     grid = grid_step * np.arange(1, n + 1)
-    lap = _radial_laplacian(shape, grid, grid_step)
-    ok = lap >= SUBHARMONIC_TOL
+    ok = _rf_nondecreasing(shape, grid, grid_step)
     for knot in shape.knots:
         ok &= np.abs(grid - knot) > grid_step * (1.0 + 1e-9)
 
@@ -87,7 +85,7 @@ def subharmonic_region(
         lo = 0.0 if start == 0 else float(grid[start])
         hi = float(grid[-1])
         probe = grid[-1] * 2.0 ** np.arange(1, _PROBE_DOUBLINGS + 1)
-        if np.all(_radial_laplacian(shape, probe, grid_step) >= SUBHARMONIC_TOL):
+        if np.all(_rf_nondecreasing(shape, probe, grid_step)):
             hi = math.inf
         intervals.append((lo, hi))
     return RadialRegion(intervals=tuple(intervals))
@@ -120,14 +118,14 @@ def lower_tail_bound(
     tol: float = 1e-10,
     *,
     region: RadialRegion | None = None,
-    grid_step: float | None = None,
 ) -> float:
     """Dominant-interferer lower bound on P(I >= z).
 
     1 - exp(-2 pi lambda F(|y0|) int_0^rbar r P(g >= z (c + r^alpha)) dr),
     with rbar the inscribed radius in the subharmonic region.  Requires a
     fading law with a known tail function.  An infinite rbar is handled by
-    the semi-infinite quadrature path.
+    the semi-infinite quadrature path.  Without ``region`` the subharmonic
+    region is detected on a grid of shape.scale / 256.
     """
     if z <= 0:
         raise DomainError("interference level z must be positive")
@@ -136,7 +134,7 @@ def lower_tail_bound(
     if channel.fading.tail is None:
         raise DomainError("lower bound needs a fading law with a known tail P(g >= x)")
     if region is None:
-        region = subharmonic_region(shape, grid_step or shape.scale / 256.0)
+        region = subharmonic_region(shape, shape.scale / 256.0)
     rbar = max_inscribed_radius(region, y0_norm)
 
     tail = channel.fading.tail

@@ -162,20 +162,10 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serialisable: {type(obj).__name__}")
-
-
 def _emit(config: dict, columns: list, rows: list, args) -> None:
     if args.format == "json":
         payload = {"config": config, "columns": columns, "rows": rows}
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
         buf.write("# " + json.dumps(config, sort_keys=True) + "\n")

@@ -282,8 +282,6 @@ def simulate(
     if sim_cfg.max_radius_override is not None:
         radius = sim_cfg.max_radius_override
         bias = lam * _tail_mean_bound(shape, channel, y0, radius)
-        if not math.isfinite(bias):
-            bias = math.inf
     else:
         trunc = truncation_radius(shape, channel, y0, sim_cfg.truncation_tol_fraction)
         radius = trunc.radius

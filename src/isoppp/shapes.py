@@ -10,6 +10,7 @@ split points).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,11 +71,6 @@ class TailClass:
     def log_decay(cls) -> "TailClass":
         return cls(TailKind.LOG_DECAY)
 
-    @property
-    def decays(self) -> bool:
-        """True when F(r) -> 0 as r -> infinity."""
-        return self.kind is not TailKind.NON_DECAYING
-
 
 def _radial(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Wrap an array-native radial function so scalars map to floats."""
@@ -103,16 +99,20 @@ class ShapeFunction:
     eval_f: Callable
     eval_deriv: Callable
     tail: TailClass
-    f_zero: float
     knots: tuple[float, ...] = ()
     scale: float = 1.0
     descriptor: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not 0.0 < self.scale < math.inf:
+            raise InvalidScenarioParams(f"scale must be positive and finite, got {self.scale}")
         if not 0.0 <= self.f_zero <= 1.0:
             raise InvalidScenarioParams(f"F(0) must lie in [0, 1], got {self.f_zero}")
-        if self.scale <= 0:
-            raise InvalidScenarioParams("scale must be positive")
+
+    @property
+    def f_zero(self) -> float:
+        """Density fraction F(0) at the network centre."""
+        return float(self.eval_f(0.0))
 
     @property
     def support_end(self) -> float | None:
@@ -152,7 +152,6 @@ def scenario_finite_network(r0: float, r1: float) -> ShapeFunction:
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
         tail=TailClass.compact_support(r1),
-        f_zero=1.0,
         knots=(r0, r1),
         scale=r1,
         descriptor={"scenario": "A", "params": {"r0": r0, "r1": r1}},
@@ -192,7 +191,6 @@ def scenario_urban_hotspot(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
         tail=TailClass.compact_support(r_end),
-        f_zero=hot_level + base_level,
         knots=tuple(sorted({hot_r0, hot_r1, base_r0, base_r1})),
         scale=r_end,
         descriptor={
@@ -225,7 +223,6 @@ def scenario_scattered(rho: float) -> ShapeFunction:
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
         tail=TailClass.exponential_decay(1.0 / rho),
-        f_zero=1.0,
         scale=rho,
         descriptor={"scenario": "C", "params": {"rho": rho}},
     )
@@ -241,7 +238,8 @@ def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
         raise InvalidScenarioParams("exponent alpha must be positive")
 
     def f_eval(r):
-        return -np.expm1(-delta * r**alpha)
+        with np.errstate(over="ignore"):  # r^alpha = inf gives the limit F = 1
+            return -np.expm1(-delta * r**alpha)
 
     def f_deriv(r):
         return delta * alpha * r ** (alpha - 1.0) * np.exp(-delta * r**alpha)
@@ -250,7 +248,6 @@ def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
         tail=TailClass.non_decaying(),
-        f_zero=0.0,
         scale=delta ** (-1.0 / alpha),
         descriptor={"scenario": "D", "params": {"delta": delta, "alpha": alpha}},
     )
@@ -271,7 +268,6 @@ def constant_shape(level: float = 1.0) -> ShapeFunction:
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
         tail=TailClass.non_decaying(),
-        f_zero=level,
         descriptor={"scenario": "constant", "params": {"level": level}},
     )
 
@@ -294,7 +290,6 @@ def power_tail_shape(nu: float, r0: float) -> ShapeFunction:
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
         tail=TailClass.power_decay(nu),
-        f_zero=1.0,
         scale=r0,
         descriptor={"scenario": "powerTail", "params": {"nu": nu, "r0": r0}},
     )
@@ -320,49 +315,40 @@ def log_decay_shape(r0: float = 100.0) -> ShapeFunction:
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
         tail=TailClass.log_decay(),
-        f_zero=1.0,
         scale=r0,
         descriptor={"scenario": "logDecay", "params": {"r0": r0}},
     )
 
 
 _SCENARIO_BUILDERS = {
-    "A": (scenario_finite_network, ("r0", "r1")),
-    "B": (
-        scenario_urban_hotspot,
-        ("hot_level", "hot_r0", "hot_r1", "base_level", "base_r0", "base_r1"),
-    ),
-    "C": (scenario_scattered, ("rho",)),
-    "D": (scenario_carrier_sense, ("delta", "alpha")),
-    "powerTail": (power_tail_shape, ("nu", "r0")),
-    "logDecay": (log_decay_shape, ("r0",)),
+    "A": scenario_finite_network,
+    "B": scenario_urban_hotspot,
+    "C": scenario_scattered,
+    "D": scenario_carrier_sense,
+    "constant": constant_shape,
+    "powerTail": power_tail_shape,
+    "logDecay": log_decay_shape,
 }
 
 
 def build_scenario(scenario: str, params: Mapping[str, float]) -> ShapeFunction:
     """Build one of the catalogued deployment scenarios from keyword params.
 
-    Raises InvalidScenarioParams for unknown scenarios, missing or unknown
+    The builder's signature names the parameters and their defaults.  Raises
+    InvalidScenarioParams for unknown scenarios, missing or unknown
     parameters, or inconsistent values.
     """
-    if scenario == "constant":
-        extra = set(params) - {"level"}
-        if extra:
-            raise InvalidScenarioParams(f"unknown parameters for constant: {sorted(extra)}")
-        return constant_shape(float(params.get("level", 1.0)))
     if scenario not in _SCENARIO_BUILDERS:
         raise InvalidScenarioParams(f"unknown scenario {scenario!r}")
-    builder, names = _SCENARIO_BUILDERS[scenario]
-    extra = set(params) - set(names)
+    builder = _SCENARIO_BUILDERS[scenario]
+    signature = inspect.signature(builder).parameters
+    extra = set(params) - set(signature)
     if extra:
         raise InvalidScenarioParams(f"unknown parameters for {scenario}: {sorted(extra)}")
-    missing = [n for n in names if n not in params]
-    if missing and scenario == "logDecay":
-        missing = []  # r0 has a default
+    missing = [n for n, p in signature.items() if p.default is p.empty and n not in params]
     if missing:
         raise InvalidScenarioParams(f"scenario {scenario} needs parameters {missing}")
-    kwargs = {n: float(params[n]) for n in names if n in params}
-    return builder(**kwargs)
+    return builder(**{n: float(v) for n, v in params.items()})
 
 
 def from_descriptor(descriptor: Mapping) -> ShapeFunction:

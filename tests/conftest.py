@@ -5,6 +5,7 @@ and planar integrals go through scipy's QUADPACK wrappers so that agreement
 between the two routes is meaningful.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -177,3 +178,49 @@ def campbell_divergence(shape, y0, d, beta):
                    limit=500)
     far, _ = quad(radial, edge, math.inf, epsabs=0.0, epsrel=1e-12, limit=500)
     return s * (near + far)
+
+
+def _closed_kernel(r, c, y0, alpha):
+    """int_0^{2pi} dphi / (c + dist^alpha) at alpha 2 or 4, from
+    int_0^{2pi} dphi / (a - b cos phi) = 2 pi / sqrt(a^2 - b^2) in complex
+    arithmetic (alpha 4 splits 1/(c + d^4) into poles at d^2 = -+ j sqrt c)."""
+    lo, hi = (r - y0) ** 2, (r + y0) ** 2
+    if alpha == 2:
+        return 2.0 * math.pi / math.sqrt((c + lo) * (c + hi))
+    s = math.sqrt(c)
+    root = cmath.sqrt(complex(lo * hi - c, -s * (lo + hi)))
+    return 2.0 * math.pi / s * (1.0 / root).imag
+
+
+def campbell_peak_mean(shape, alpha, c, y0):
+    """A_alpha(y0, c) = int_0^inf r F(r) K_alpha(r) dr by QUADPACK, for a
+    receiver far out (y0 well beyond the shape scale and the peak width
+    w = c^(1/alpha)).  The radial integral breaks at y0 and at y0 -+ w; the
+    flanks w < |r - y0| < y0 / 2 run in u = log(|r - y0| / w), where the
+    kernel's peak at r = y0 is smooth; [0, y0 / 2] (split at 4 shape scales)
+    and [3 y0 / 2, 2 y0] run in r, and the tail beyond 2 y0 in
+    v = log(r / (2 y0)) up to v = 100."""
+    w = c ** (1.0 / alpha)
+
+    def radial(r):
+        return r * float(shape.eval_f(r)) * _closed_kernel(r, c, y0, alpha)
+
+    def flank(sign):
+        return lambda u: radial(y0 + sign * w * math.exp(u)) * w * math.exp(u)
+
+    def tail(v):
+        return radial(2.0 * y0 * math.exp(v)) * 2.0 * y0 * math.exp(v)
+
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=500)
+    u_end = math.log(0.5 * y0 / w)
+    inner = [4.0 * shape.scale] if 4.0 * shape.scale < 0.5 * y0 else None
+    parts = [
+        quad(radial, 0.0, 0.5 * y0, points=inner, **opts),
+        quad(flank(-1.0), 0.0, u_end, **opts),
+        quad(radial, y0 - w, y0, **opts),
+        quad(radial, y0, y0 + w, **opts),
+        quad(flank(1.0), 0.0, u_end, **opts),
+        quad(radial, 1.5 * y0, 2.0 * y0, **opts),
+        quad(tail, 0.0, 100.0, **opts),
+    ]
+    return math.fsum(p[0] for p in parts)

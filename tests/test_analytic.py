@@ -6,7 +6,8 @@ import pytest
 
 import isoppp as ip
 from isoppp.analytic import AsFinite
-from conftest import campbell_mean, compact_mass, rayleigh_channel, unit_channel
+from conftest import (campbell_mean, campbell_peak_mean, compact_mass, rayleigh_channel,
+                      unit_channel)
 
 # frozen oracle: QUADPACK value of pi * int_0^inf e^-r log(1+r^2) dr
 A2_SCATTERED_RHO1_ORIGIN = 2.1575073628606187
@@ -103,6 +104,34 @@ class TestDrivingHardCases:
             assert mass / (c + (y0 + r_end) ** 4) <= res.value <= mass / (c + (y0 - r_end) ** 4)
         if shape is C25:
             assert abs(res.value * y0**4 / (2.0 * math.pi * 625.0) - 1.0) <= 1e-6
+
+
+class TestDrivingFarPeak:
+    """Receivers far beyond the shape scale: the kernel's peak at r = y0,
+    c^(1/alpha) wide, must be found however far out it sits."""
+
+    @pytest.mark.parametrize("shape,alpha", [
+        (ip.power_tail_shape(0.5, 50.0), 4),
+        (ip.scenario_carrier_sense(1e-5, 4.0), 4),
+        (ip.power_tail_shape(0.5, 50.0), 2),
+    ], ids=["powerTail-4", "D-4", "powerTail-2"])
+    @pytest.mark.parametrize("y0", [1e5, 3e5, 1e6])
+    def test_matches_quadpack(self, shape, alpha, y0):
+        res = ip.interference_driving(shape, y0, 1.0, alpha)
+        assert res.converged
+        assert res.value == pytest.approx(campbell_peak_mean(shape, alpha, 1.0, y0), rel=1e-9)
+
+    @pytest.mark.parametrize("shape,alpha", [
+        (ip.power_tail_shape(0.5, 50.0), 2),
+        (ip.power_tail_shape(0.5, 50.0), 4),
+        (ip.scenario_carrier_sense(1e-5, 4.0), 4),
+    ])
+    def test_unresolvable_offset_raises(self, shape, alpha):
+        # 1e100 peak widths out, double-precision radii cannot resolve the peak
+        start = time.perf_counter()
+        with pytest.raises(ip.DomainError, match="peak widths"):
+            ip.interference_driving(shape, 1e100, 1.0, alpha)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDrivingInputs:

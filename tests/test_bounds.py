@@ -32,6 +32,19 @@ class TestSubharmonicRegion:
         assert lo == 0.0
         assert hi == pytest.approx(1e-5 ** (-0.25), rel=0.01)
 
+    @pytest.mark.parametrize("scale", [10.0**k for k in range(-3, 8)])
+    def test_region_in_units_of_the_scale(self, scale):
+        # r f(r) has its minimum at r = scale for C and for powerTail(2) and
+        # its maximum there for D, so on a grid of scale/256 the regions are
+        # [257/256, inf) and [0, 255/256) scales at every scale
+        step = scale / 256.0
+        for shape in (ip.scenario_scattered(scale), ip.power_tail_shape(2.0, scale)):
+            (lo, hi), = ip.subharmonic_region(shape, step).intervals
+            assert lo == pytest.approx(257.0 * step, rel=1e-12) and math.isinf(hi)
+        (lo, hi), = ip.subharmonic_region(ip.scenario_carrier_sense(scale**-4.0, 4.0),
+                                          step).intervals
+        assert lo == 0.0 and hi == pytest.approx(255.0 * step, rel=1e-12)
+
     def test_knots_are_excluded(self):
         shape = ip.scenario_finite_network(50.0, 80.0)
         region = ip.subharmonic_region(shape, 0.25)

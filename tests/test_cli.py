@@ -374,6 +374,54 @@ class TestSimulateCommand:
         assert header[0] == "z"
         assert len(rows) == 2
 
+    SIM_ARGS = ["--shape", C100, "--alpha", "4", "--c", "1", "--lambda", "1e-3",
+                "--y0", "50", "--trials", "200", "--seed", "17"]
+
+    def _library_run(self, **grids):
+        shape = isoppp.scenario_scattered(100.0)
+        channel = isoppp.ChannelModel(alpha=4.0, c=1.0, fading=isoppp.FadingLaw.rayleigh())
+        link = isoppp.LinkConfig(1e-3, 50.0, 10.0, 1.0)
+        out = isoppp.simulate(shape, channel, link, isoppp.SimConfig(200, 17), **grids)
+        return out, [out.mean, out.mean_half_width95, out.truncation_bias_bound,
+                     out.trials_used, out.max_radius]
+
+    @staticmethod
+    def _values(rows):
+        return [[float(cell) for cell in row] for row in rows]
+
+    def test_mean_rows_match_library(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", *self.SIM_ARGS, "--what", "mean")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["mean", "mean_half_width95", "truncation_bias_bound", "trials",
+                          "max_radius"]
+        assert self._values(rows) == [self._library_run()[1]]
+
+    def test_laplace_rows_match_library(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", *self.SIM_ARGS, "--what", "laplace",
+                               "--s", "0.5,2,8")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["s", "laplace", "laplace_half_width95", "mean", "mean_half_width95",
+                          "truncation_bias_bound", "trials", "max_radius"]
+        lib, base = self._library_run(s_grid=[0.5, 2.0, 8.0])
+        assert self._values(rows) == [
+            [s, lib.laplace_est[s], lib.laplace_half_width95[s], *base] for s in (0.5, 2.0, 8.0)
+        ]
+
+    def test_tail_sweep_rows_match_library(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", *self.SIM_ARGS, "--what", "tail",
+                               "--sweep", "z=0.001:0.005:0.001")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["z", "tail_freq", "tail_half_width95", "mean", "mean_half_width95",
+                          "truncation_bias_bound", "trials", "max_radius"]
+        z_grid = 0.001 + 0.001 * np.arange(5)
+        lib, base = self._library_run(z_grid=z_grid)
+        assert self._values(rows) == [
+            [z, lib.tail_freq[z], lib.tail_half_width95[z], *base] for z in map(float, z_grid)
+        ]
+
     def test_divergent_simulation_refused(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--shape", "constant", "--alpha", "2",

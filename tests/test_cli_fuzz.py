@@ -1,0 +1,58 @@
+"""Fuzz gate for the analytic CLI commands.
+
+Each example runs one analytic command through ``cli.main`` with one numeric
+argument (or one shape parameter) set to an extreme or non-finite value.
+The command must end with exit code 0, 2, 3 or 4, never an uncaught
+exception, within a wall-clock budget.  Examples are derandomized, so every
+run checks the same forms.
+"""
+
+import contextlib
+import io
+import json
+import math
+from datetime import timedelta
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoppp.cli import main
+
+EXTREMES = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0.0)
+LINK = ("--alpha", "--c", "--lambda", "--y0", "--d", "--beta", "--eta-db", "--tol")
+# command -> (arguments of a form that succeeds, numeric options it takes)
+FORMS = {
+    "mean": (["--alpha", "4", "--y0", "30"], LINK),
+    "laplace": (["--alpha", "4", "--y0", "30"], (*LINK, "--s")),
+    "outage": (["--alpha", "4", "--y0", "30", "--eta-db", "10"], LINK),
+    "divergence": (["--alpha", "4", "--y0", "30"], LINK),
+    "relerror": (["--alpha", "4", "--y0", "30"], LINK),
+    "capacity": (["--alpha", "4", "--y0", "30", "--epsilon", "0.1"], (*LINK, "--epsilon")),
+    "fhds": ([], ("--d", "--beta", "--m-gain", "--tol")),
+    "csma": (["--delta-db", "-50"], ("--alpha", "--lambda", "--d", "--beta", "--delta-db",
+                                      "--tol")),
+}
+
+
+def _shape(rho):
+    return json.dumps({"scenario": "C", "params": {"rho": rho}})
+
+
+@settings(derandomize=True, database=None, deadline=timedelta(seconds=2), max_examples=300)
+@given(command=st.sampled_from(sorted(FORMS)), data=st.data(),
+       value=st.sampled_from(EXTREMES))
+def test_extreme_argument_exits_cleanly(command, data, value):
+    base, options = FORMS[command]
+    shaped = command != "csma"
+    target = data.draw(st.sampled_from((*options, "rho") if shaped else options))
+    argv = [command, *base]
+    if shaped:
+        argv += ["--shape", _shape(value if target == "rho" else 100.0)]
+    if target != "rho":
+        argv.append(f"{target}={value!r}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a form with exit 2
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv

@@ -7,7 +7,7 @@ from scipy.stats import chi2
 
 import isoppp as ip
 from isoppp import mcsim
-from conftest import rayleigh_channel, unit_channel
+from conftest import campbell_mean, rayleigh_channel, unit_channel
 
 
 class TestTruncationRadius:
@@ -132,6 +132,16 @@ class TestSimulate:
         link = ip.LinkConfig(1e-3, y0, 10.0, 0.5, math.inf)
         out = ip.simulate(scattered100, ch, link, ip.SimConfig(10**4, 33))
         target = ip.mean_interference(scattered100, ch, 1e-3, y0).value
+        sigma = out.mean_half_width95 / 1.96
+        assert abs(out.mean - target) <= 3.0 * sigma + out.truncation_bias_bound
+
+    def test_mean_at_alpha3_against_campbell(self, scattered100):
+        # no closed form at alpha 3: the truncation radius comes from the
+        # polar-quadrature reference, the target from the Campbell oracle
+        ch = rayleigh_channel(3, 1.0)
+        link = ip.LinkConfig(1e-3, 50.0, 10.0, 0.5, math.inf)
+        out = ip.simulate(scattered100, ch, link, ip.SimConfig(2 * 10**4, 303))
+        target = campbell_mean(scattered100, 3, 1.0, 1e-3, 50.0, out.max_radius)
         sigma = out.mean_half_width95 / 1.96
         assert abs(out.mean - target) <= 3.0 * sigma + out.truncation_bias_bound
 

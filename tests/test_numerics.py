@@ -241,7 +241,7 @@ class TestIntegrateInterval:
         # this integral misses its tolerance within the default budget; a
         # re-sum of every panel after each bisection made that cost O(panels^2)
         start = time.perf_counter()
-        res = ip.interference_driving(ip.power_tail_shape(0.5, 50.0), 1e100, 1.0, 2)
+        res = ip.integrate_interval(lambda x: np.sin(1.0 / x), 0.0, 1.0, 1e-14)
         assert time.perf_counter() - start < 5.0
         assert not res.converged
         assert res.evaluations > numerics.MAX_EVALUATIONS - 30

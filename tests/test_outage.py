@@ -31,6 +31,15 @@ class TestOutageExact:
         floor = 1.0 - math.exp(-0.5 / 10.0)
         assert value == pytest.approx(floor, abs=1e-4)
 
+    def test_stationary_outage_far_from_the_centre(self):
+        # constant density at alpha 4: 1 - exp(-lambda s pi^2 / (2 sqrt(s + c))),
+        # s = beta (c + d^4), at any offset
+        ch = rayleigh_channel(4, 1.0)
+        s = 0.5 * (1.0 + 10.0**4)
+        exact = -math.expm1(-1e-3 * s * math.pi**2 / (2.0 * math.sqrt(s + 1.0)))
+        got = ip.outage_exact(ip.constant_shape(1.0), ch, _link(beta=0.5, y0=1e5))
+        assert got == pytest.approx(exact, rel=1e-9)
+
     def test_noise_decomposition_exact(self, fig3_shape):
         ch = rayleigh_channel(4, 1.0)
         noise_free = ip.outage_exact(fig3_shape, ch, _link(beta=0.5, y0=200.0))

@@ -93,6 +93,15 @@ def test_nonincreasing_in_offset(case, scale, p, y0, step, c):
     assert far.value <= near.value + near.abs_error + far.abs_error
 
 
+@PROPERTIES
+@given(level=st.floats(0.25, 1.0), y0=offsets, c=constants)
+def test_stationary_mean_at_every_offset(level, y0, c):
+    # a constant density sees pi^2 / (2 sqrt c) at alpha 4 wherever the
+    # receiver is, so the kernel's peak at r = y0 must never be missed
+    res = ip.interference_driving(ip.constant_shape(level), y0, c, 4)
+    assert res.value == pytest.approx(level * math.pi**2 / (2.0 * math.sqrt(c)), rel=1e-9)
+
+
 @settings(derandomize=True, database=None, deadline=timedelta(seconds=20), max_examples=20)
 @given(alpha=st.sampled_from((2, 4)), r0=st.floats(10.0, 1000.0), width=st.floats(0.1, 2.0),
        y0=st.floats(0.0, 3.0), lam=_decades(1e-5, 1e-2), d=st.floats(1.0, 30.0),
@@ -104,3 +113,92 @@ def test_outage_matches_campbell_oracle(alpha, r0, width, y0, lam, d, beta, c, e
     s = beta * (c + d**alpha)
     oracle = campbell_outage(shape, alpha, c, lam, y0 * r0, s, link.eta, beta)
     assert ip.outage_exact(shape, channel, link) == pytest.approx(oracle, abs=1e-9)
+
+
+# family name -> builder from a scale: each has a region boundary at O(scale)
+REGION_FAMILIES = {
+    "A": lambda s: ip.scenario_finite_network(s, 1.6 * s),
+    "C": lambda s: ip.scenario_scattered(s),
+    "powerTail": lambda s: ip.power_tail_shape(2.0, s),
+    "D": lambda s: ip.scenario_carrier_sense(s**-4.0, 4.0),
+}
+
+
+@settings(derandomize=True, database=None, deadline=EXAMPLE_BUDGET, max_examples=60)
+@given(name=st.sampled_from(sorted(REGION_FAMILIES)), rho=_decades(1e-3, 1e7))
+def test_subharmonic_region_scales(name, rho):
+    # the region of F(./rho) is rho times the region of F, to a grid step
+    unit = REGION_FAMILIES[name](1.0)
+    scaled = REGION_FAMILIES[name](rho)
+    base = ip.subharmonic_region(unit, unit.scale / 256.0).intervals
+    got = ip.subharmonic_region(scaled, scaled.scale / 256.0).intervals
+    assert len(got) == len(base)
+    for edges, unit_edges in zip(got, base):
+        for edge, unit_edge in zip(edges, unit_edges):
+            if math.isinf(unit_edge):
+                assert math.isinf(edge)
+            else:
+                assert abs(edge - rho * unit_edge) <= scaled.scale / 256.0
+
+
+# family name -> (builder from a scale, alphas with a finite mean)
+BOUND_FAMILIES = {
+    "C": (lambda s: ip.scenario_scattered(s), (2, 4)),
+    "powerTail": (lambda s: ip.power_tail_shape(2.0, s), (2, 4)),
+    "D": (lambda s: ip.scenario_carrier_sense(s**-4.0, 4.0), (4,)),
+}
+BOUND_CASES = [(name, alpha) for name, (_, alphas) in BOUND_FAMILIES.items()
+               for alpha in alphas]
+
+
+def _channel(alpha, c, fading="rayleigh"):
+    law = ip.FadingLaw.rayleigh() if fading == "rayleigh" else ip.FadingLaw.unit()
+    return ip.ChannelModel(alpha=alpha, c=c, fading=law)
+
+
+@settings(derandomize=True, database=None, deadline=EXAMPLE_BUDGET, max_examples=100)
+@given(case=st.sampled_from(BOUND_CASES), scale=scales, t=st.floats(0.0, 3.0), c=constants,
+       lam=_decades(1e-6, 1e-1), z=_decades(1e-6, 1e6),
+       fading=st.sampled_from(("rayleigh", "unit")))
+def test_tail_bounds_are_ordered_probabilities(case, scale, t, c, lam, z, fading):
+    name, alpha = case
+    shape = BOUND_FAMILIES[name][0](scale)
+    channel = _channel(alpha, c, fading)
+    upper = ip.markov_upper_tail(shape, channel, lam, t * scale, z)
+    assert 0.0 <= upper <= 1.0
+    try:
+        lower = ip.lower_tail_bound(shape, channel, lam, t * scale, z)
+    except ip.OutsideRegion:
+        return  # the dominant-interferer bound needs a subharmonic neighbourhood
+    assert 0.0 <= lower <= 1.0
+    # slack for the two quadratures' relative tolerance
+    assert lower <= upper * (1.0 + 1e-9)
+
+
+@PROPERTIES
+@given(case=st.sampled_from(CASES), scale=scales, p=params, y0=offsets, c=constants,
+       lam=_decades(1e-6, 1e-1), s=_decades(1e-6, 1e6), ratio=_decades(1.0, 1e3))
+def test_laplace_transform_nonincreasing_in_s(case, scale, p, y0, c, lam, s, ratio):
+    name, alpha = case
+    shape = FAMILIES[name][0](scale, p)
+    channel = _channel(alpha, c)
+    near = ip.laplace_transform(shape, channel, lam, y0, s)
+    far = ip.laplace_transform(shape, channel, lam, y0, s * ratio)
+    assert 0.0 <= far <= 1.0 and 0.0 <= near <= 1.0
+    # exp(-x) moves by at most x exp(-x) tol <= tol / e under a relative
+    # error tol in its exponent
+    assert far <= near + 1e-10
+
+
+@PROPERTIES
+@given(case=st.sampled_from(CASES), scale=scales, p=params, t=st.floats(0.0, 3.0),
+       c=constants, lam=_decades(1e-6, 1e-1), d=_decades(1e-2, 1e2),
+       beta=_decades(1e-2, 1e2), ratio=_decades(1.0, 1e3), eta_db=st.floats(-10.0, 40.0))
+def test_outage_nondecreasing_in_beta(case, scale, p, t, c, lam, d, beta, ratio, eta_db):
+    name, alpha = case
+    shape = FAMILIES[name][0](scale, p)
+    channel = _channel(alpha, c)
+    low = ip.outage_exact(shape, channel, ip.LinkConfig(lam, t * scale, d, beta, eta_db))
+    high = ip.outage_exact(shape, channel, ip.LinkConfig(lam, t * scale, d, beta * ratio, eta_db))
+    assert 0.0 <= low <= 1.0 and 0.0 <= high <= 1.0
+    assert high >= low - 1e-10
