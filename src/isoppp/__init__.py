@@ -7,7 +7,6 @@ point process, together with a reproducible Monte-Carlo oracle and a CLI.
 """
 
 from .analytic import (
-    AsFinite,
     ChannelModel,
     FadingLaw,
     FinitenessVerdict,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -112,7 +111,12 @@ class LinkConfig:
                       beta=self.beta)
         if self.eta_db != math.inf:
             _check_finite(eta_db=self.eta_db)
-        if self.eta_db < 0 and self.eta == 0.0:
+        try:
+            eta = self.eta
+        except OverflowError:
+            raise NumericOverflow(f"a mean SNR of eta_db={self.eta_db:g} dB overflows a double "
+                                  "(the limit is about 3082.5 dB)") from None
+        if eta == 0.0:
             raise DomainError(f"a mean SNR of {self.eta_db:g} dB underflows to 0")
         if self.lambda_scale <= 0:
             raise DomainError("intensity scale must be positive")
@@ -131,16 +135,11 @@ class LinkConfig:
         return 10.0 ** (self.eta_db / 10.0)
 
 
-class AsFinite(Enum):
-    YES = "yes"
-    NO = "no"
-
-
 @dataclass(frozen=True)
 class FinitenessVerdict:
     mean_interference_finite: bool
     expected_count_finite: bool
-    interference_as_finite: AsFinite
+    interference_as_finite: bool
 
 
 def _mean_finite(shape: ShapeFunction, alpha: float) -> bool:
@@ -308,7 +307,9 @@ def classify_finiteness(shape: ShapeFunction, channel: ChannelModel) -> Finitene
     decaying, or power-decaying (exponent > 2) shapes.  At alpha = 2 the mean
     interference needs any power-law-or-faster decay, and a non-decaying or
     log-decaying density makes the interference infinite almost surely; at
-    alpha = 4 the mean is always finite.
+    alpha = 4 the mean is finite for every shape.  At c = 0 the path loss is
+    singular at the receiver, so the mean counts as infinite (it is wherever
+    F(y0) > 0); almost-sure finiteness depends on the tail alone.
     """
     if channel.alpha not in (2, 4):
         raise UnsupportedAlpha("finiteness classification covers alpha in {2, 4}")
@@ -316,9 +317,9 @@ def classify_finiteness(shape: ShapeFunction, channel: ChannelModel) -> Finitene
     count_finite = kind in (TailKind.COMPACT_SUPPORT, TailKind.EXPONENTIAL_DECAY) or (
         kind is TailKind.POWER_DECAY and (shape.tail.param or 0.0) > 2.0
     )
-    mean_finite = _mean_finite(shape, channel.alpha)
+    tail_finite = _mean_finite(shape, channel.alpha)
     return FinitenessVerdict(
-        mean_interference_finite=mean_finite,
+        mean_interference_finite=channel.c > 0 and tail_finite,
         expected_count_finite=count_finite,
-        interference_as_finite=AsFinite.YES if mean_finite else AsFinite.NO,
+        interference_as_finite=tail_finite,
     )

@@ -11,6 +11,7 @@ from .errors import (
     DomainError,
     NonConvergence,
     UnsupportedAlpha,
+    _check_finite,
 )
 from .outage import outage_exact
 from .shapes import ShapeFunction, scenario_carrier_sense
@@ -71,6 +72,7 @@ def fh_ds_gain(
     grows like 1 + pi F(0) log M / A_2(o, beta d^2); that asymptote is
     reported alongside the exact ratio.
     """
+    _check_finite(d=d, beta=beta, m=m)
     if m < 1:
         raise DomainError("processing gain M must be >= 1")
     if d <= 0 or beta <= 0:
@@ -102,6 +104,7 @@ def csma_large_scale_density(
 
     Always in (0, lambda]; tends to lambda as the sensing threshold grows.
     """
+    _check_finite(lambda_potential=lambda_potential, alpha=alpha, delta_sense=delta_sense)
     if lambda_potential <= 0:
         raise DomainError("potential density must be positive")
     if alpha < 2:

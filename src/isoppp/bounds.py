@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ChannelModel, interference_driving
-from .errors import DomainError, NonConvergence, OutsideRegion
+from .errors import DomainError, NonConvergence, OutsideRegion, _check_finite
 from .numerics import integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
@@ -127,6 +127,7 @@ def lower_tail_bound(
     the semi-infinite quadrature path.  Without ``region`` the subharmonic
     region is detected on a grid of shape.scale / 256.
     """
+    _check_finite(lambda_scale=lambda_scale, y0_norm=y0_norm, z=z)
     if z <= 0:
         raise DomainError("interference level z must be positive")
     if lambda_scale <= 0:
@@ -174,8 +175,11 @@ def markov_upper_tail(
     tol: float = 1e-10,
 ) -> float:
     """Markov upper bound min(1, lambda A_alpha(y0, c) / z) on P(I >= z)."""
+    _check_finite(lambda_scale=lambda_scale, z=z)
     if z <= 0:
         raise DomainError("interference level z must be positive")
+    if lambda_scale <= 0:
+        raise DomainError("intensity scale must be positive")
     a = interference_driving(shape, y0_norm, channel.c, channel.alpha, tol)
     if not a.converged:
         raise NonConvergence("driving-function quadrature did not converge", result=a)

@@ -307,61 +307,47 @@ def _parse_grid(text: str | None):
 
 
 def _cmd_simulate(args) -> int:
+    """One row of Monte-Carlo estimates, or one row per tail level or
+    transform variable; each row ends with the run's mean and truncation."""
     shape = _resolve_shape(args)
     channel = _channel(args)
     link = _link(args)
-    cfg = mcsim.SimConfig(
-        trials=args.trials,
-        seed=args.seed,
-        truncation_tol_fraction=args.trunc_tol,
-        max_radius_override=args.max_radius,
-    )
+    cfg = mcsim.SimConfig(args.trials, args.seed, max_radius_override=args.max_radius)
+    want = args.what
     z_grid = _parse_grid(args.z)
     s_grid = _parse_grid(args.s)
-    if getattr(args, "sweep", None):
+    if args.sweep:
         axis, values = _parse_axis(args.sweep)
         if axis != "z":
             raise DomainError("simulate sweeps only the z axis (tail levels)")
         z_grid = list(values)
-    want = args.what
-    outcome = mcsim.simulate(
+    if want == "tail" and not z_grid:
+        raise DomainError("--what tail needs --z or --sweep z=...")
+    if want == "laplace" and not s_grid:
+        raise DomainError("--what laplace needs --s")
+    o = mcsim.simulate(
         shape, channel, link, cfg,
         z_grid=z_grid if want == "tail" else None,
         s_grid=s_grid if want == "laplace" else None,
         want_outage=(want == "outage"),
     )
-    extras = {
-        "what": want,
-        "trials": args.trials,
-        "seed": args.seed,
-        "trunc_tol": args.trunc_tol,
-        "max_radius_override": args.max_radius,
-    }
-    config = _base_config(args, "simulate", shape, extras)
-    base = [outcome.mean, outcome.mean_half_width95, outcome.truncation_bias_bound,
-            outcome.trials_used, outcome.max_radius]
-    base_cols = ["mean", "mean_half_width95", "truncation_bias_bound", "trials", "max_radius"]
-    if want == "mean":
-        _emit(config, base_cols, [base], args)
-    elif want == "outage":
-        _emit(config, ["outage_freq", "outage_half_width95", *base_cols],
-              [[outcome.outage_freq, outcome.outage_half_width95, *base]], args)
+    if want == "outage":
+        columns = ["outage_freq", "outage_half_width95"]
+        rows = [[o.outage_freq, o.outage_half_width95]]
     elif want == "tail":
-        if not outcome.tail_freq:
-            raise DomainError("--what tail needs --z or --sweep z=...")
-        rows = [
-            [z, outcome.tail_freq[z], outcome.tail_half_width95[z], *base]
-            for z in sorted(outcome.tail_freq)
-        ]
-        _emit(config, ["z", "tail_freq", "tail_half_width95", *base_cols], rows, args)
-    else:  # laplace
-        if not outcome.laplace_est:
-            raise DomainError("--what laplace needs --s")
-        rows = [
-            [s, outcome.laplace_est[s], outcome.laplace_half_width95[s], *base]
-            for s in sorted(outcome.laplace_est)
-        ]
-        _emit(config, ["s", "laplace", "laplace_half_width95", *base_cols], rows, args)
+        columns = ["z", "tail_freq", "tail_half_width95"]
+        rows = [[z, o.tail_freq[z], o.tail_half_width95[z]] for z in sorted(o.tail_freq)]
+    elif want == "laplace":
+        columns = ["s", "laplace", "laplace_half_width95"]
+        rows = [[s, o.laplace_est[s], o.laplace_half_width95[s]] for s in sorted(o.laplace_est)]
+    else:
+        columns, rows = [], [[]]
+    config = _base_config(args, "simulate", shape, {"what": want, "trials": args.trials,
+                          "seed": args.seed, "max_radius_override": args.max_radius})
+    base = [o.mean, o.mean_half_width95, o.truncation_bias_bound, o.trials_used, o.max_radius]
+    _emit(config,
+          [*columns, "mean", "mean_half_width95", "truncation_bias_bound", "trials", "max_radius"],
+          [[*row, *base] for row in rows], args)
     return EXIT_OK
 
 
@@ -427,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=["mean", "outage", "tail", "laplace"], default="mean")
     p.add_argument("--trials", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trunc-tol", dest="trunc_tol", type=float, default=1e-3)
     p.add_argument("--max-radius", dest="max_radius", type=float, default=None)
     p.add_argument("--z", help="comma-separated tail levels")
     p.add_argument("--s", help="comma-separated transform variables")

@@ -9,14 +9,16 @@ statistics with 95% normal confidence half-widths.
 Reproducibility contract: one run draws every trial, in order, from one
 generator seeded by ``seed``, and then the outage coins of all trials, so a
 fixed (seed, trials, config) gives a bit-identical outcome.
-Truncation of the sampling disc is never silent: the neglected-mean bound
-is reported in the outcome and consumers add it to their tolerances.
+The sampling disc is the smallest doubling radius whose neglected mean is
+at most 1e-3 of the mean interference (``SimConfig.max_radius_override``
+sets it directly instead).  Truncation is never silent: the neglected-mean
+bound is reported in the outcome and consumers add it to their tolerances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import partial
 
 import numpy as np
@@ -27,15 +29,21 @@ from .numerics import integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# the sampling disc neglects at most this fraction of the mean interference
+_TRUNCATION_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Trial count, seed and truncation policy for one simulation run."""
+    """Trial count and seed for one simulation run.
+
+    The sampling disc is the truncation rule's radius unless the
+    keyword-only ``max_radius_override`` sets it directly.
+    """
 
     trials: int
     seed: int
-    truncation_tol_fraction: float = 1e-3
+    _: KW_ONLY
     max_radius_override: float | None = None
 
     def __post_init__(self):
@@ -45,8 +53,6 @@ class SimConfig:
             raise DomainError("need at least one trial")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be a nonnegative 64-bit integer")
-        if not 0.0 < self.truncation_tol_fraction < 1.0:
-            raise DomainError("truncation tolerance fraction must lie in (0, 1)")
         if self.max_radius_override is not None and self.max_radius_override <= 0:
             raise DomainError("radius override must be positive")
 
@@ -120,22 +126,16 @@ def _truncated_mean_per_intensity(
     return integrate_interval(fn, 0.0, radius, 1e-9, knots=shape.knots).value
 
 
-def truncation_radius(
-    shape: ShapeFunction,
-    channel: ChannelModel,
-    y0_norm: float,
-    tol_fraction: float,
-) -> TruncationResult:
-    """Smallest candidate radius whose neglected-mean bound is below
-    ``tol_fraction`` of the mean interference.
+def truncation_radius(shape: ShapeFunction, channel: ChannelModel,
+                      y0_norm: float) -> TruncationResult:
+    """Smallest candidate radius (doubling from max(2 scale, 2 y0, 1)) whose
+    neglected-mean bound is below 1e-3 of the mean interference.
 
     Compactly supported shapes truncate exactly at their support end.
     Raises NoFiniteTruncation when the mean itself is infinite (alpha = 2
     with a non-decaying or log-decaying density); use a radius override to
     simulate such regimes anyway.
     """
-    if not 0.0 < tol_fraction < 1.0:
-        raise DomainError("tolerance fraction must lie in (0, 1)")
     if shape.support_end is not None:
         return TruncationResult(radius=shape.support_end, mean_tail_bound_per_intensity=0.0)
     if not _mean_finite(shape, channel.alpha):
@@ -163,7 +163,7 @@ def truncation_radius(
             if reference is not None
             else _truncated_mean_per_intensity(shape, channel, y0_norm, radius)
         )
-        if bound <= tol_fraction * ref:
+        if bound <= _TRUNCATION_FRACTION * ref:
             return TruncationResult(radius=radius, mean_tail_bound_per_intensity=bound)
         radius *= 2.0
     raise NoFiniteTruncation("tail bound did not drop below tolerance within 60 doublings")
@@ -278,22 +278,18 @@ def simulate(
     alpha, c = channel.alpha, channel.c
     y0 = link.y0_norm
     lam = link.lambda_scale
+    fading_sampler = channel.fading.sampler
+    if fading_sampler is None:
+        raise DomainError("fading law has no sampler")
 
     if sim_cfg.max_radius_override is not None:
         radius = sim_cfg.max_radius_override
         bias = lam * _tail_mean_bound(shape, channel, y0, radius)
     else:
-        trunc = truncation_radius(shape, channel, y0, sim_cfg.truncation_tol_fraction)
+        trunc = truncation_radius(shape, channel, y0)
         radius = trunc.radius
         bias = lam * trunc.mean_tail_bound_per_intensity
-
     sampler = PointProcessSampler(shape, lam, radius)
-    fading_sampler = channel.fading.sampler
-    if fading_sampler is None:
-        raise DomainError("fading law has no sampler")
-
-    z_arr = None if z_grid is None else np.asarray(list(z_grid), dtype=float)
-    s_arr = None if s_grid is None else np.asarray(list(s_grid), dtype=float)
 
     trials = sim_cfg.trials
     interference = np.empty(trials)
@@ -307,52 +303,32 @@ def simulate(
         d2 = radii**2 + y0**2 - 2.0 * radii * y0 * np.cos(angles)
         interference[i] = np.sum(g / (c + d2 ** (alpha / 2.0)))
 
-    tail_hits = None if z_arr is None else interference[:, None] >= z_arr
-    laplace_rows = None if s_arr is None else np.exp(-np.outer(interference, s_arr))
-    outage_hits = None
+    outage = (None, None)
     if want_outage:
-        # drawn after every field, so requesting outage leaves the interference unchanged
+        # drawn after every trial, so requesting outage leaves the interference unchanged
         g0 = np.asarray(fading_sampler(rng, trials), dtype=float)
-        outage_hits = g0 < link.beta * (noise + interference * gain_inv)
+        outage = _frequency(g0 < link.beta * (noise + interference * gain_inv))
+    tail = _per_key(z_grid, lambda z: _frequency(interference >= z))
+    laplace = _per_key(s_grid, lambda s: _estimate(np.exp(-s * interference)))
+    return SimOutcome(*_estimate(interference), *tail, *outage, *laplace, bias, trials, radius)
 
-    mean = float(np.mean(interference))
-    mean_hw = _Z95 * float(np.std(interference, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
 
-    def freq_stats(hits: np.ndarray) -> tuple[float, float]:
-        p = float(np.mean(hits))
-        return p, _Z95 * math.sqrt(p * (1.0 - p) / trials)
+def _estimate(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its 95% normal half-width (inf for one sample)."""
+    half_width = _Z95 * float(np.std(x, ddof=1)) / math.sqrt(x.size) if x.size > 1 else math.inf
+    return float(np.mean(x)), half_width
 
-    tail_freq = tail_hw = None
-    if tail_hits is not None:
-        stats = [freq_stats(tail_hits[:, k]) for k in range(z_arr.size)]
-        tail_freq = {float(z): s[0] for z, s in zip(z_arr, stats)}
-        tail_hw = {float(z): s[1] for z, s in zip(z_arr, stats)}
 
-    outage_freq = outage_hw = None
-    if outage_hits is not None:
-        outage_freq, outage_hw = freq_stats(outage_hits)
+def _frequency(hits: np.ndarray) -> tuple[float, float]:
+    """Hit frequency and its 95% binomial (normal-approximation) half-width."""
+    p = float(np.mean(hits))
+    return p, _Z95 * math.sqrt(p * (1.0 - p) / hits.size)
 
-    laplace_est = laplace_hw = None
-    if laplace_rows is not None:
-        laplace_est = {}
-        laplace_hw = {}
-        for k, s in enumerate(s_arr):
-            col = laplace_rows[:, k]
-            laplace_est[float(s)] = float(np.mean(col))
-            laplace_hw[float(s)] = (
-                _Z95 * float(np.std(col, ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
-            )
 
-    return SimOutcome(
-        mean=mean,
-        mean_half_width95=mean_hw,
-        tail_freq=tail_freq,
-        tail_half_width95=tail_hw,
-        outage_freq=outage_freq,
-        outage_half_width95=outage_hw,
-        laplace_est=laplace_est,
-        laplace_half_width95=laplace_hw,
-        truncation_bias_bound=bias,
-        trials_used=trials,
-        max_radius=radius,
-    )
+def _per_key(grid, stat) -> tuple[dict | None, dict | None]:
+    """``stat(key) -> (value, half-width)`` over a grid, split into a value
+    dict and a half-width dict; (None, None) without a grid."""
+    if grid is None:
+        return None, None
+    stats = {k: stat(k) for k in map(float, grid)}
+    return {k: v for k, (v, _) in stats.items()}, {k: h for k, (_, h) in stats.items()}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import isoppp as ip
-from isoppp.analytic import AsFinite
 from conftest import (campbell_mean, campbell_peak_mean, compact_mass, rayleigh_channel,
                       unit_channel)
 
@@ -245,13 +244,13 @@ class TestClassifyFiniteness:
         verdict = ip.classify_finiteness(ip.power_tail_shape(1.5, 1.0), rayleigh_channel(2, 1.0))
         assert verdict.mean_interference_finite
         assert not verdict.expected_count_finite
-        assert verdict.interference_as_finite is AsFinite.YES
+        assert verdict.interference_as_finite is True
 
     def test_stationary_alpha2(self):
         verdict = ip.classify_finiteness(ip.constant_shape(1.0), rayleigh_channel(2, 1.0))
         assert not verdict.mean_interference_finite
         assert not verdict.expected_count_finite
-        assert verdict.interference_as_finite is AsFinite.NO
+        assert verdict.interference_as_finite is False
 
     def test_compact_support(self):
         verdict = ip.classify_finiteness(
@@ -259,13 +258,25 @@ class TestClassifyFiniteness:
         )
         assert verdict.mean_interference_finite
         assert verdict.expected_count_finite
-        assert verdict.interference_as_finite is AsFinite.YES
+        assert verdict.interference_as_finite is True
 
     def test_alpha4_always_mean_finite(self):
         for shape in (ip.constant_shape(1.0), ip.log_decay_shape(5.0)):
             verdict = ip.classify_finiteness(shape, rayleigh_channel(4, 1.0))
             assert verdict.mean_interference_finite
-            assert verdict.interference_as_finite is AsFinite.YES
+            assert verdict.interference_as_finite is True
+
+    def test_zero_c_mean_infinite_but_interference_finite(self):
+        # the singular path loss 1/r^alpha makes E[I] infinite wherever F(y0) > 0
+        for alpha in (2, 4):
+            verdict = ip.classify_finiteness(ip.scenario_scattered(100.0),
+                                             rayleigh_channel(alpha, 0.0))
+            assert verdict.mean_interference_finite is False
+            assert verdict.interference_as_finite is True
+        verdict = ip.classify_finiteness(ip.constant_shape(1.0), rayleigh_channel(4, 0.0))
+        assert verdict.mean_interference_finite is False
+        with pytest.raises(ip.DomainError):
+            ip.mean_interference(ip.constant_shape(1.0), rayleigh_channel(4, 0.0), 1e-3, 0.0)
 
     def test_count_threshold_at_nu_two(self):
         ch = rayleigh_channel(2, 1.0)
@@ -302,6 +313,12 @@ def test_fading_law_unit_mean():
 def test_link_config_eta_conversion():
     assert ip.LinkConfig(1e-3, 0.0, 10.0, 0.5, eta_db=10.0).eta == pytest.approx(10.0)
     assert math.isinf(ip.LinkConfig(1e-3, 0.0, 10.0, 0.5).eta)
+
+
+def test_link_config_eta_overflow_names_the_limit():
+    with pytest.raises(ip.NumericOverflow, match=r"eta_db=10000 dB .*3082\.5 dB"):
+        ip.LinkConfig(1e-3, 0.0, 10.0, 0.5, eta_db=1e4)
+    assert ip.LinkConfig(1e-3, 0.0, 10.0, 0.5, eta_db=3082.0).eta > 1e308
 
 
 def test_channel_validation():

@@ -122,8 +122,17 @@ class TestFhDsGain:
         r2 = ip.fh_ds_gain(scattered100, 10.0, 0.5, 1e8).ratio
         assert r2 > r1 + 0.5
 
+    def test_infinite_gain_is_domain_error(self, scattered100):
+        with pytest.raises(ip.DomainError, match="m must be finite"):
+            ip.fh_ds_gain(scattered100, 10.0, 0.5, math.inf)
+
 
 class TestCsmaDensity:
+    @pytest.mark.parametrize("lam, delta", [(math.nan, 1e-5), (1e-3, math.nan)])
+    def test_non_finite_input_is_domain_error(self, lam, delta):
+        with pytest.raises(ip.DomainError, match="must be finite"):
+            ip.csma_large_scale_density(lam, 4.0, delta)
+
     def test_thinning_vanishes_for_sparse_networks(self):
         lam = 1e-12
         assert ip.csma_large_scale_density(lam, 4.0, 1e-5) / lam >= 0.999

@@ -143,6 +143,11 @@ class TestLowerTailBound:
         with pytest.raises(ip.DomainError):
             ip.lower_tail_bound(ip.scenario_scattered(1.0), ch, 1e-2, 3.0, 0.1)
 
+    def test_non_finite_level_is_domain_error(self):
+        with pytest.raises(ip.DomainError, match="z must be finite"):
+            ip.lower_tail_bound(ip.scenario_scattered(1.0), rayleigh_channel(4, 1.0), 1e-2, 3.0,
+                                math.nan)
+
 
 class TestMarkovUpperTail:
     def test_clamped_at_mean(self):
@@ -172,6 +177,16 @@ class TestMarkovUpperTail:
         unclamped = vals < 1.0
         ratios = vals[unclamped] * zs[unclamped]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("lam, z, message", [
+        (-1e-3, 1.0, "intensity scale must be positive"),
+        (math.nan, 1.0, "lambda_scale must be finite"),
+        (1e-3, math.nan, "z must be finite"),
+    ])
+    def test_bad_intensity_or_level_is_domain_error(self, lam, z, message):
+        with pytest.raises(ip.DomainError, match=message):
+            ip.markov_upper_tail(ip.scenario_scattered(100.0), rayleigh_channel(4, 1.0), lam,
+                                 0.0, z)
 
     def test_divergent_regime_propagates(self):
         ch = rayleigh_channel(2, 1.0)

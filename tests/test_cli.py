@@ -270,6 +270,14 @@ class TestOverflow:
         assert err.startswith("isoppp: numeric overflow:")
 
 
+def test_mean_snr_overflow_names_eta_db(capsys):
+    code, out, err = run_cli(capsys, "outage", "--shape", "constant", "--alpha", "4",
+                             "--eta-db", "1e4")
+    assert (code, out) == (2, "")
+    assert err.startswith("isoppp: numeric overflow:")
+    assert "eta_db=10000" in err and "3082.5 dB" in err
+
+
 class TestPathLossOverflow:
     # beta (c + d^alpha) overflows a double at d = 1e200 and alpha = 4
     FORMS = {
@@ -428,6 +436,26 @@ class TestSimulateCommand:
             "--trials", "100", "--seed", "1",
         )
         assert code == 4
+
+    @pytest.mark.parametrize("what, message", [
+        ("tail", "--what tail needs --z or --sweep z=..."),
+        ("laplace", "--what laplace needs --s"),
+    ])
+    def test_missing_grid_refused_before_trials(self, capsys, monkeypatch, what, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate ran before its arguments were checked")
+
+        monkeypatch.setattr(isoppp.mcsim, "simulate", no_run)
+        code, out, err = run_cli(capsys, "simulate", *self.SIM_ARGS, "--what", what)
+        assert (code, out) == (2, "")
+        assert err == f"isoppp: configuration error: {message}\n"
+
+    def test_missing_grid_outranks_divergent_regime(self, capsys):
+        # the grid is checked first, so the divergent disc (exit 4) is never built
+        code, _, err = run_cli(capsys, "simulate", "--shape", "constant", "--alpha", "2",
+                               "--what", "tail")
+        assert code == 2
+        assert "--what tail needs" in err
 
 
 class TestReplotCheck:

@@ -13,34 +13,34 @@ from conftest import campbell_mean, rayleigh_channel, unit_channel
 class TestTruncationRadius:
     def test_compact_support_truncates_at_support(self):
         shape = ip.scenario_finite_network(400.0, 600.0)
-        res = ip.truncation_radius(shape, rayleigh_channel(2, 1.0), 50.0, 1e-3)
+        res = ip.truncation_radius(shape, rayleigh_channel(2, 1.0), 50.0)
         assert res.radius == 600.0
         assert res.mean_tail_bound_per_intensity == 0.0
 
     def test_scattered_bound_below_tolerance(self, scattered100):
         ch = rayleigh_channel(2, 1.0)
-        res = ip.truncation_radius(scattered100, ch, 0.0, 1e-3)
+        res = ip.truncation_radius(scattered100, ch, 0.0)
         mean = ip.interference_driving(scattered100, 0.0, 1.0, 2).value
         assert math.isfinite(res.radius)
         assert res.mean_tail_bound_per_intensity <= 1e-3 * mean
 
     def test_divergent_regime_refused(self):
         with pytest.raises(ip.NoFiniteTruncation):
-            ip.truncation_radius(ip.constant_shape(1.0), rayleigh_channel(2, 1.0), 0.0, 1e-3)
+            ip.truncation_radius(ip.constant_shape(1.0), rayleigh_channel(2, 1.0), 0.0)
 
     def test_alpha4_nondecaying_is_fine(self):
-        res = ip.truncation_radius(ip.constant_shape(1.0), rayleigh_channel(4, 1.0), 5.0, 1e-3)
+        res = ip.truncation_radius(ip.constant_shape(1.0), rayleigh_channel(4, 1.0), 5.0)
         assert math.isfinite(res.radius)
 
     def test_zero_c_needs_override(self):
         with pytest.raises(ip.DomainError):
-            ip.truncation_radius(ip.scenario_scattered(10.0), rayleigh_channel(4, 0.0), 0.0, 1e-3)
+            ip.truncation_radius(ip.scenario_scattered(10.0), rayleigh_channel(4, 0.0), 0.0)
 
     def test_unconverged_reference_raises(self, monkeypatch, scattered100):
         unconverged = ip.IntegralResult(1.0, 1.0, False, 10**6)
         monkeypatch.setattr(mcsim, "interference_driving", lambda *args: unconverged)
         with pytest.raises(ip.NonConvergence) as info:
-            ip.truncation_radius(scattered100, rayleigh_channel(2, 1.0), 0.0, 1e-3)
+            ip.truncation_radius(scattered100, rayleigh_channel(2, 1.0), 0.0)
         assert info.value.result is unconverged
 
 
@@ -254,8 +254,13 @@ def test_sim_config_validation():
     with pytest.raises(ip.DomainError):
         ip.SimConfig(trials=0, seed=1)
     with pytest.raises(ip.DomainError):
-        ip.SimConfig(trials=10, seed=1, truncation_tol_fraction=1.5)
-    with pytest.raises(ip.DomainError):
         ip.SimConfig(trials=10, seed=1, max_radius_override=math.nan)
     with pytest.raises(ip.DomainError):
         ip.SimConfig(trials=10, seed=1, max_radius_override=math.inf)
+
+
+def test_sim_config_radius_override_is_keyword_only():
+    # a third positional argument is refused, never taken as a radius
+    with pytest.raises(TypeError):
+        ip.SimConfig(100, 1, 1e-3)
+    assert ip.SimConfig(100, 1, max_radius_override=1e3).max_radius_override == 1e3
