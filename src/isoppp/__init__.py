@@ -35,8 +35,6 @@ from .errors import (
     DegenerateDenominator,
     DivergentIntegral,
     DomainError,
-    InvalidExponent,
-    InvalidLevel,
     InvalidScenarioParams,
     IsopppError,
     NoFiniteTruncation,
@@ -66,7 +64,6 @@ from .shapes import (
     ShapeFunction,
     TailClass,
     TailKind,
-    build_scenario,
     constant_shape,
     from_descriptor,
     log_decay_shape,

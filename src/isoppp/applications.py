@@ -10,6 +10,7 @@ from .errors import (
     DegenerateDenominator,
     DomainError,
     NonConvergence,
+    RequiresZeroC,
     UnsupportedAlpha,
     _check_finite,
 )
@@ -39,7 +40,7 @@ def local_transmission_capacity(
     if channel.fading.kind != "rayleigh":
         raise DomainError("transmission capacity closed form assumes Rayleigh fading")
     if channel.c != 0:
-        raise DomainError("transmission capacity closed form requires c = 0")
+        raise RequiresZeroC("transmission capacity closed form requires c = 0")
     if not math.isinf(link.eta):
         raise DomainError("transmission capacity closed form assumes a noise-free link")
     s = _threshold(link.beta, channel.c, link.d, channel.alpha)

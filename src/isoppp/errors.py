@@ -12,15 +12,8 @@ class DomainError(IsopppError, ValueError):
 
 
 class InvalidScenarioParams(DomainError):
-    """Scenario parameters are inconsistent (ordering, ranges, level sums)."""
-
-
-class InvalidLevel(DomainError):
-    """Constant density level outside (0, 1]."""
-
-
-class InvalidExponent(DomainError):
-    """Tail exponent must be strictly positive."""
+    """Scenario parameters are not positive and finite, or are inconsistent
+    (ordering, ranges, level sums)."""
 
 
 class UnsupportedAlpha(DomainError):

@@ -88,17 +88,22 @@ class TruncationResult:
 
 def _tail_mean_bound(shape: ShapeFunction, channel: ChannelModel, y0_norm: float, radius: float) -> float:
     """Bound (per unit intensity) on the mean interference from nodes beyond
-    ``radius``: 2 pi int_R^inf r F(r) / (c + max(0, r - y0)^alpha) dr."""
+    ``radius``: 2 pi int_R^inf r F(r) / (c + max(0, r - y0)^alpha) dr, inf
+    where the mean itself is infinite."""
     alpha, c = channel.alpha, channel.c
 
     def weight(t):
         t = np.asarray(t, dtype=float)
         r = t + radius
         gap = np.maximum(0.0, r - y0_norm)
-        return r * np.asarray(shape.eval_f(r), dtype=float) / (c + gap**alpha)
+        # gap^alpha overflows to the weight's limit 0; at c = 0, r = y0 is a pole
+        with np.errstate(over="ignore", divide="ignore"):
+            return r * np.asarray(shape.eval_f(r), dtype=float) / (c + gap**alpha)
 
     if shape.support_end is not None and radius >= shape.support_end:
         return 0.0
+    if not _mean_finite(shape, alpha):
+        return math.inf
     integ = integrate_semi_infinite(
         weight, 1e-9, knee=max(shape.scale, y0_norm, 1.0), max_evals=10**5
     )
@@ -106,6 +111,13 @@ def _tail_mean_bound(shape: ShapeFunction, channel: ChannelModel, y0_norm: float
         # a tail bound that refuses to settle is treated as unbounded
         return math.inf
     return 2.0 * math.pi * integ.value
+
+
+def _converged(result, what: str) -> float:
+    """Value of a quadrature that converged; NonConvergence otherwise."""
+    if not result.converged:
+        raise NonConvergence(f"{what} quadrature did not converge", result=result)
+    return result.value
 
 
 def _truncated_mean_per_intensity(
@@ -123,7 +135,8 @@ def _truncated_mean_per_intensity(
         avg = np.mean(1.0 / (c + d2 ** (alpha / 2.0)), axis=1)
         return 2.0 * math.pi * r * np.asarray(shape.eval_f(r), dtype=float) * avg
 
-    return integrate_interval(fn, 0.0, radius, 1e-9, knots=shape.knots).value
+    return _converged(integrate_interval(fn, 0.0, radius, 1e-9, knots=shape.knots),
+                      "truncated-mean")
 
 
 def truncation_radius(shape: ShapeFunction, channel: ChannelModel,
@@ -150,10 +163,10 @@ def truncation_radius(shape: ShapeFunction, channel: ChannelModel,
         )
     reference = None
     if channel.alpha in (2, 4):
-        driving = interference_driving(shape, y0_norm, channel.c, channel.alpha, 1e-9)
-        if not driving.converged:
-            raise NonConvergence("truncation reference did not converge", result=driving)
-        reference = driving.value
+        reference = _converged(
+            interference_driving(shape, y0_norm, channel.c, channel.alpha, 1e-9),
+            "truncation reference",
+        )
 
     radius = max(2.0 * shape.scale, 2.0 * y0_norm, 1.0)
     for _ in range(60):
@@ -203,7 +216,9 @@ class PointProcessSampler:
             return r * np.asarray(shape.eval_f(r), dtype=float)
 
         self._radial_mass = radial_mass
-        mass = integrate_interval(radial_mass, 0.0, r_eff, 1e-12, knots=shape.knots).value
+        mass = _converged(
+            integrate_interval(radial_mass, 0.0, r_eff, 1e-12, knots=shape.knots), "sampler mass"
+        )
         self.mean_count = 2.0 * math.pi * lambda_scale * mass
         self._mass = mass
 
@@ -245,7 +260,8 @@ class PointProcessSampler:
         edges[0], edges[-1] = 0.0, self._r_eff
         masses = np.array(
             [
-                integrate_interval(self._radial_mass, lo, hi, 1e-10, knots=self.shape.knots).value
+                _converged(integrate_interval(self._radial_mass, lo, hi, 1e-10,
+                                              knots=self.shape.knots), "bin-mass")
                 for lo, hi in zip(edges[:-1], edges[1:])
             ]
         )

@@ -6,19 +6,24 @@ is ``lambda_scale * F(r)``.  Every shape carries its analytic derivative
 ``f(r) = dF/dr``, a tail classification used by the finiteness and
 divergence checks, and the knot radii where smoothness breaks (quadrature
 split points).
+
+Catalogued scenarios are registered by name: every parameter must be
+positive and finite, and each built shape carries the descriptor
+``{"scenario": name, "params": {...}}`` of its arguments, defaults included.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidLevel, InvalidScenarioParams
+from .errors import InvalidScenarioParams
 
 
 class TailKind(Enum):
@@ -46,30 +51,10 @@ class TailClass:
                 raise InvalidScenarioParams("compact support needs a positive end radius")
         elif self.kind is TailKind.POWER_DECAY:
             if self.param is None or self.param <= 0:
-                raise InvalidExponent("power decay needs a positive exponent")
+                raise InvalidScenarioParams("power decay needs a positive exponent")
         elif self.kind is TailKind.EXPONENTIAL_DECAY:
             if self.param is None or self.param <= 0:
                 raise InvalidScenarioParams("exponential decay needs a positive rate")
-
-    @classmethod
-    def compact_support(cls, r_end: float) -> "TailClass":
-        return cls(TailKind.COMPACT_SUPPORT, float(r_end))
-
-    @classmethod
-    def power_decay(cls, nu: float) -> "TailClass":
-        return cls(TailKind.POWER_DECAY, float(nu))
-
-    @classmethod
-    def exponential_decay(cls, rate: float) -> "TailClass":
-        return cls(TailKind.EXPONENTIAL_DECAY, float(rate))
-
-    @classmethod
-    def non_decaying(cls) -> "TailClass":
-        return cls(TailKind.NON_DECAYING)
-
-    @classmethod
-    def log_decay(cls) -> "TailClass":
-        return cls(TailKind.LOG_DECAY)
 
 
 def _radial(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -122,6 +107,34 @@ class ShapeFunction:
         return None
 
 
+_SCENARIOS: dict[str, Callable[..., ShapeFunction]] = {}
+
+
+def _scenario(name: str):
+    """Register a catalogued builder under ``name``.  Each call binds its
+    arguments with their defaults, rejects any that is not positive and
+    finite, and records them as the built shape's descriptor."""
+
+    def register(build):
+        signature = inspect.signature(build)
+
+        @functools.wraps(build)
+        def checked(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            for param, value in bound.arguments.items():
+                if not 0.0 < value < math.inf:
+                    raise InvalidScenarioParams(f"scenario {name}: {param} must be "
+                                                f"positive and finite, got {value}")
+            descriptor = {"scenario": name, "params": dict(bound.arguments)}
+            return replace(build(**bound.arguments), descriptor=descriptor)
+
+        _SCENARIOS[name] = checked
+        return checked
+
+    return register
+
+
 def _plateau_pair(r0: float, r1: float):
     """Raised-cosine plateau: 1 on [0, r0], rolls off to 0 at r1."""
     width = r1 - r0
@@ -140,24 +153,23 @@ def _plateau_pair(r0: float, r1: float):
     return f_eval, f_deriv
 
 
+@_scenario("A")
 def scenario_finite_network(r0: float, r1: float) -> ShapeFunction:
     """Scenario A: constant density out to ``r0``, raised-cosine rolloff to
     zero at ``r1`` (finite network with a soft boundary)."""
-    if r0 <= 0 or r1 <= 0:
-        raise InvalidScenarioParams("plateau radii must be positive")
     if r0 >= r1:
         raise InvalidScenarioParams(f"need r0 < r1, got r0={r0}, r1={r1}")
     f_eval, f_deriv = _plateau_pair(r0, r1)
     return ShapeFunction(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
-        tail=TailClass.compact_support(r1),
+        tail=TailClass(TailKind.COMPACT_SUPPORT, float(r1)),
         knots=(r0, r1),
         scale=r1,
-        descriptor={"scenario": "A", "params": {"r0": r0, "r1": r1}},
     )
 
 
+@_scenario("B")
 def scenario_urban_hotspot(
     hot_level: float,
     hot_r0: float,
@@ -168,12 +180,8 @@ def scenario_urban_hotspot(
 ) -> ShapeFunction:
     """Scenario B: hotspot plateau stacked on a wider urban base level."""
     for name, (a, b) in {"hot": (hot_r0, hot_r1), "base": (base_r0, base_r1)}.items():
-        if a <= 0 or b <= 0:
-            raise InvalidScenarioParams(f"{name} radii must be positive")
         if a >= b:
             raise InvalidScenarioParams(f"{name} plateau needs r0 < r1")
-    if hot_level <= 0 or base_level <= 0:
-        raise InvalidScenarioParams("levels must be positive")
     if hot_level + base_level > 1.0 + 1e-12:
         raise InvalidScenarioParams("hotspot plus base level must not exceed 1")
 
@@ -190,28 +198,16 @@ def scenario_urban_hotspot(
     return ShapeFunction(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
-        tail=TailClass.compact_support(r_end),
+        tail=TailClass(TailKind.COMPACT_SUPPORT, float(r_end)),
         knots=tuple(sorted({hot_r0, hot_r1, base_r0, base_r1})),
         scale=r_end,
-        descriptor={
-            "scenario": "B",
-            "params": {
-                "hot_level": hot_level,
-                "hot_r0": hot_r0,
-                "hot_r1": hot_r1,
-                "base_level": base_level,
-                "base_r0": base_r0,
-                "base_r1": base_r1,
-            },
-        },
     )
 
 
+@_scenario("C")
 def scenario_scattered(rho: float) -> ShapeFunction:
     """Scenario C: exponentially decaying density exp(-r/rho) (airdropped
     or otherwise scattered deployment)."""
-    if rho <= 0:
-        raise InvalidScenarioParams("decay length rho must be positive")
 
     def f_eval(r):
         return np.exp(-r / rho)
@@ -222,20 +218,16 @@ def scenario_scattered(rho: float) -> ShapeFunction:
     return ShapeFunction(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
-        tail=TailClass.exponential_decay(1.0 / rho),
+        tail=TailClass(TailKind.EXPONENTIAL_DECAY, float(1.0 / rho)),
         scale=rho,
-        descriptor={"scenario": "C", "params": {"rho": rho}},
     )
 
 
+@_scenario("D")
 def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
     """Scenario D: 1 - exp(-delta * r^alpha), the density of contenders that
     fail to sense a transmitter at the origin (hole around the origin,
     saturating to full density far away)."""
-    if delta <= 0:
-        raise InvalidScenarioParams("sensing threshold delta must be positive")
-    if alpha <= 0:
-        raise InvalidScenarioParams("exponent alpha must be positive")
 
     def f_eval(r):
         with np.errstate(over="ignore"):  # r^alpha = inf gives the limit F = 1
@@ -247,16 +239,16 @@ def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
     return ShapeFunction(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
-        tail=TailClass.non_decaying(),
+        tail=TailClass(TailKind.NON_DECAYING),
         scale=delta ** (-1.0 / alpha),
-        descriptor={"scenario": "D", "params": {"delta": delta, "alpha": alpha}},
     )
 
 
+@_scenario("constant")
 def constant_shape(level: float = 1.0) -> ShapeFunction:
     """Spatially constant density fraction (stationary deployment)."""
-    if not 0.0 < level <= 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1], got {level}")
+    if level > 1.0:
+        raise InvalidScenarioParams(f"level must lie in (0, 1], got {level}")
 
     def f_eval(r):
         return np.full_like(r, level)
@@ -267,21 +259,18 @@ def constant_shape(level: float = 1.0) -> ShapeFunction:
     return ShapeFunction(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
-        tail=TailClass.non_decaying(),
-        descriptor={"scenario": "constant", "params": {"level": level}},
+        tail=TailClass(TailKind.NON_DECAYING),
     )
 
 
+@_scenario("powerTail")
 def power_tail_shape(nu: float, r0: float) -> ShapeFunction:
     """Smooth profile (1 + (r/r0)^2)^(-nu/2): equals 1 at the origin and
     decays like (r/r0)^(-nu) far out."""
-    if nu <= 0:
-        raise InvalidExponent(f"tail exponent must be positive, got {nu}")
-    if r0 <= 0:
-        raise InvalidScenarioParams("knee radius r0 must be positive")
 
     def f_eval(r):
-        return (1.0 + (r / r0) ** 2) ** (-nu / 2.0)
+        with np.errstate(over="ignore"):  # (r/r0)^2 = inf gives the limit F = 0
+            return (1.0 + (r / r0) ** 2) ** (-nu / 2.0)
 
     def f_deriv(r):
         return -nu * (r / r0**2) * (1.0 + (r / r0) ** 2) ** (-nu / 2.0 - 1.0)
@@ -289,12 +278,12 @@ def power_tail_shape(nu: float, r0: float) -> ShapeFunction:
     return ShapeFunction(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
-        tail=TailClass.power_decay(nu),
+        tail=TailClass(TailKind.POWER_DECAY, float(nu)),
         scale=r0,
-        descriptor={"scenario": "powerTail", "params": {"nu": nu, "r0": r0}},
     )
 
 
+@_scenario("logDecay")
 def log_decay_shape(r0: float = 100.0) -> ShapeFunction:
     """Profile 1/(1 + log(1 + r/r0)), decaying slower than every power law.
 
@@ -302,8 +291,6 @@ def log_decay_shape(r0: float = 100.0) -> ShapeFunction:
     without bound at path-loss exponent 2; the constructor exists to witness
     that divergent regime.
     """
-    if r0 <= 0:
-        raise InvalidScenarioParams("knee radius r0 must be positive")
 
     def f_eval(r):
         return 1.0 / (1.0 + np.log1p(r / r0))
@@ -314,33 +301,27 @@ def log_decay_shape(r0: float = 100.0) -> ShapeFunction:
     return ShapeFunction(
         eval_f=_radial(f_eval),
         eval_deriv=_radial(f_deriv),
-        tail=TailClass.log_decay(),
+        tail=TailClass(TailKind.LOG_DECAY),
         scale=r0,
-        descriptor={"scenario": "logDecay", "params": {"r0": r0}},
     )
 
 
-_SCENARIO_BUILDERS = {
-    "A": scenario_finite_network,
-    "B": scenario_urban_hotspot,
-    "C": scenario_scattered,
-    "D": scenario_carrier_sense,
-    "constant": constant_shape,
-    "powerTail": power_tail_shape,
-    "logDecay": log_decay_shape,
-}
-
-
-def build_scenario(scenario: str, params: Mapping[str, float]) -> ShapeFunction:
-    """Build one of the catalogued deployment scenarios from keyword params.
-
-    The builder's signature names the parameters and their defaults.  Raises
-    InvalidScenarioParams for unknown scenarios, missing or unknown
-    parameters, or inconsistent values.
-    """
-    if scenario not in _SCENARIO_BUILDERS:
+def from_descriptor(descriptor: Mapping) -> ShapeFunction:
+    """Build a catalogued shape from its JSON descriptor
+    ``{"scenario": "A|B|C|D|constant|powerTail|logDecay", "params": {...}}``;
+    the builder's signature names the parameters and their defaults.  Raises
+    InvalidScenarioParams for an unknown scenario, missing or unknown
+    parameters, a parameter that is not positive and finite, or inconsistent
+    values."""
+    if "scenario" not in descriptor:
+        raise InvalidScenarioParams("shape descriptor needs a 'scenario' key")
+    params = descriptor.get("params", {}) or {}
+    if not isinstance(params, Mapping):
+        raise InvalidScenarioParams("'params' must be a mapping")
+    scenario = str(descriptor["scenario"])
+    if scenario not in _SCENARIOS:
         raise InvalidScenarioParams(f"unknown scenario {scenario!r}")
-    builder = _SCENARIO_BUILDERS[scenario]
+    builder = _SCENARIOS[scenario]
     signature = inspect.signature(builder).parameters
     extra = set(params) - set(signature)
     if extra:
@@ -349,14 +330,3 @@ def build_scenario(scenario: str, params: Mapping[str, float]) -> ShapeFunction:
     if missing:
         raise InvalidScenarioParams(f"scenario {scenario} needs parameters {missing}")
     return builder(**{n: float(v) for n, v in params.items()})
-
-
-def from_descriptor(descriptor: Mapping) -> ShapeFunction:
-    """Build a shape from its JSON descriptor
-    ``{"scenario": "A|B|C|D|constant|powerTail|logDecay", "params": {...}}``."""
-    if "scenario" not in descriptor:
-        raise InvalidScenarioParams("shape descriptor needs a 'scenario' key")
-    params = descriptor.get("params", {}) or {}
-    if not isinstance(params, Mapping):
-        raise InvalidScenarioParams("'params' must be a mapping")
-    return build_scenario(str(descriptor["scenario"]), params)

@@ -14,6 +14,18 @@ from scipy.integrate import quad
 
 import isoppp as ip
 
+# a valid parameter set of every registered scenario (``shapes._SCENARIOS``)
+SCENARIO_PARAMS = {
+    "A": {"r0": 500.0, "r1": 800.0},
+    "B": {"hot_level": 0.3, "hot_r0": 10.0, "hot_r1": 30.0, "base_level": 0.5,
+          "base_r0": 200.0, "base_r1": 400.0},
+    "C": {"rho": 100.0},
+    "D": {"delta": 1e-5, "alpha": 4.0},
+    "constant": {"level": 0.7},
+    "powerTail": {"nu": 2.0, "r0": 50.0},
+    "logDecay": {"r0": 100.0},
+}
+
 
 @pytest.fixture(scope="session")
 def fig3_shape():

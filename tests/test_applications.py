@@ -56,6 +56,11 @@ class TestLocalTransmissionCapacity:
         )
         assert back == pytest.approx(eps, abs=1e-9)
 
+    def test_nonzero_c_requires_zero_c(self):
+        shape = ip.scenario_scattered(100.0)
+        with pytest.raises(ip.RequiresZeroC):
+            ip.local_transmission_capacity(shape, rayleigh_channel(4, 1.0), _link(), 0.1)
+
     def test_divergent_shape_rejected(self):
         ch = rayleigh_channel(2, 0.0)
         with pytest.raises(ip.DivergentIntegral):

@@ -71,6 +71,13 @@ class TestMeanCommand:
         assert code == 4
         assert "divergent" in err.lower()
 
+    def test_nan_shape_parameter_is_config_error(self, capsys):
+        shape = '{"scenario":"powerTail","params":{"nu":NaN,"r0":50}}'
+        code, out, err = run_cli(capsys, "mean", "--shape", shape, "--alpha", "4", "--c", "1")
+        assert code == 2
+        assert out == ""
+        assert "powerTail: nu must be positive and finite" in err
+
     def test_missing_shape_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "mean", "--alpha", "4")
         assert code == 2

@@ -1,13 +1,15 @@
 """Fuzz gate for the analytic CLI commands.
 
 Each example runs one analytic command through ``cli.main`` with one numeric
-argument (or one shape parameter) set to an extreme or non-finite value.
+argument, or one parameter of any registered scenario, set to an extreme or
+non-finite value.
 The command must end with exit code 0, 2, 3 or 4, never an uncaught
 exception, within a wall-clock budget.  Examples are derandomized, so every
 run checks the same forms.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -17,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoppp.cli import main
+from isoppp.shapes import _SCENARIOS
+from conftest import SCENARIO_PARAMS
 
 EXTREMES = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0.0)
 LINK = ("--alpha", "--c", "--lambda", "--y0", "--d", "--beta", "--eta-db", "--tol")
@@ -32,10 +36,16 @@ FORMS = {
     "csma": (["--delta-db", "-50"], ("--alpha", "--lambda", "--d", "--beta", "--delta-db",
                                       "--tol")),
 }
+# (scenario, parameter) for every parameter of every registered scenario
+SHAPE_PARAMS = tuple((name, param) for name, build in _SCENARIOS.items()
+                     for param in inspect.signature(build).parameters)
 
 
-def _shape(rho):
-    return json.dumps({"scenario": "C", "params": {"rho": rho}})
+def _shape(scenario, param, value):
+    params = dict(SCENARIO_PARAMS[scenario])
+    if param is not None:
+        params[param] = value
+    return json.dumps({"scenario": scenario, "params": params})
 
 
 @settings(derandomize=True, database=None, deadline=timedelta(seconds=2), max_examples=300)
@@ -44,11 +54,12 @@ def _shape(rho):
 def test_extreme_argument_exits_cleanly(command, data, value):
     base, options = FORMS[command]
     shaped = command != "csma"
-    target = data.draw(st.sampled_from((*options, "rho") if shaped else options))
+    target = data.draw(st.sampled_from((*options, *SHAPE_PARAMS) if shaped else options))
     argv = [command, *base]
     if shaped:
-        argv += ["--shape", _shape(value if target == "rho" else 100.0)]
-    if target != "rho":
+        scenario, param = target if isinstance(target, tuple) else ("C", None)
+        argv += ["--shape", _shape(scenario, param, value)]
+    if isinstance(target, str):
         argv.append(f"{target}={value!r}")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:

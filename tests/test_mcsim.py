@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,16 @@ from scipy.stats import chi2
 import isoppp as ip
 from isoppp import mcsim
 from conftest import campbell_mean, rayleigh_channel, unit_channel
+
+
+def _unconverged(monkeypatch):
+    """Make every ``integrate_interval`` in ``mcsim`` report non-convergence."""
+    real = mcsim.integrate_interval
+
+    def flipped(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(mcsim, "integrate_interval", flipped)
 
 
 class TestTruncationRadius:
@@ -43,8 +54,38 @@ class TestTruncationRadius:
             ip.truncation_radius(scattered100, rayleigh_channel(2, 1.0), 0.0)
         assert info.value.result is unconverged
 
+    def test_unconverged_truncated_mean_raises(self, monkeypatch, scattered100):
+        _unconverged(monkeypatch)
+        with pytest.raises(ip.NonConvergence):
+            ip.truncation_radius(scattered100, rayleigh_channel(3, 1.0), 0.0)
+
+
+class TestTailMeanBound:
+    """Under a radius override the bias bound is inf where the neglected mean
+    is infinite, and no numpy warning escapes (warnings are errors here)."""
+
+    @pytest.mark.parametrize("shape,channel,y0,radius", [
+        (ip.constant_shape(), rayleigh_channel(2, 1.0), 0.0, 300.0),
+        (ip.log_decay_shape(100.0), rayleigh_channel(2, 1.0), 0.0, 500.0),
+        (ip.scenario_scattered(100.0), rayleigh_channel(4, 0.0), 100.0, 50.0),
+    ], ids=["constant-a2", "logDecay-a2", "C-a4-c0-pole"])
+    def test_infinite_neglected_mean(self, shape, channel, y0, radius):
+        sim = ip.SimConfig(10, 1, max_radius_override=radius)
+        out = ip.simulate(shape, channel, ip.LinkConfig(1e-3, y0, 10.0, 0.5), sim)
+        assert out.truncation_bias_bound == math.inf
+
+    def test_finite_tail_matches_closed_form(self):
+        bound = mcsim._tail_mean_bound(ip.constant_shape(), rayleigh_channel(4, 1.0), 0.0, 1e3)
+        assert bound == pytest.approx(2.0 * math.pi / (2.0 * 1e3**2), rel=1e-6)
+
 
 class TestPointProcessSampler:
+    def test_unconverged_mass_raises(self, monkeypatch):
+        _unconverged(monkeypatch)
+        with pytest.raises(ip.NonConvergence) as info:
+            ip.PointProcessSampler(ip.scenario_scattered(100.0), 1e-3, 1e3)
+        assert info.value.result is not None
+
     def test_mean_count_formula(self):
         sampler = ip.PointProcessSampler(ip.constant_shape(1.0), 1e-3, 100.0)
         assert sampler.mean_count == pytest.approx(10.0 * math.pi, rel=1e-10)

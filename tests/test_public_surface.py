@@ -10,12 +10,11 @@ from isoppp import cli
 
 PUBLIC_NAMES = [
     "ChannelModel", "DegenerateDenominator", "DivergentIntegral", "DomainError", "FadingLaw",
-    "FhDsGain", "FinitenessVerdict", "IntegralResult", "InvalidExponent", "InvalidLevel",
-    "InvalidScenarioParams", "IsopppError", "LinkConfig", "NoFiniteTruncation",
-    "NonConvergence", "NumericOverflow", "OutsideRegion", "PointProcessSampler",
-    "RadialRegion", "RequiresZeroC", "ShapeFunction", "SimConfig", "SimOutcome", "TailClass",
-    "TailKind", "TruncationResult", "UnsupportedAlpha", "analytic", "applications",
-    "arctan_kernel", "asinh_kernel", "bounds", "build_scenario", "classify_finiteness",
+    "FhDsGain", "FinitenessVerdict", "IntegralResult", "InvalidScenarioParams",
+    "IsopppError", "LinkConfig", "NoFiniteTruncation", "NonConvergence", "NumericOverflow",
+    "OutsideRegion", "PointProcessSampler", "RadialRegion", "RequiresZeroC", "ShapeFunction",
+    "SimConfig", "SimOutcome", "TailClass", "TailKind", "TruncationResult", "UnsupportedAlpha",
+    "analytic", "applications", "arctan_kernel", "asinh_kernel", "bounds", "classify_finiteness",
     "constant_shape", "csma_accuracy_loss", "csma_large_scale_density", "csma_shape", "errors",
     "fh_ds_gain", "from_descriptor", "integrate_interval", "integrate_semi_infinite",
     "interference_driving", "laplace_transform", "local_transmission_capacity",

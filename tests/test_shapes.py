@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 import isoppp as ip
 from isoppp import TailKind
+from isoppp.shapes import _SCENARIOS
+from conftest import SCENARIO_PARAMS
 
 
 class TestScenarios:
@@ -63,7 +66,7 @@ class TestConstant:
 
     @pytest.mark.parametrize("level", [0.0, -0.2, 1.5])
     def test_invalid_level(self, level):
-        with pytest.raises(ip.InvalidLevel):
+        with pytest.raises(ip.InvalidScenarioParams):
             ip.constant_shape(level)
 
 
@@ -82,7 +85,7 @@ class TestPowerTail:
         assert tail.param == 1.5
 
     def test_invalid_exponent(self):
-        with pytest.raises(ip.InvalidExponent):
+        with pytest.raises(ip.InvalidScenarioParams):
             ip.power_tail_shape(-0.5, 1.0)
 
 
@@ -169,6 +172,34 @@ def test_monotonicity_by_scenario():
         assert np.all(np.diff(shape.eval_f(r)) <= 1e-12)
     growing = ip.scenario_carrier_sense(1e-5, 4.0)
     assert np.all(np.diff(growing.eval_f(r)) >= -1e-12)
+
+
+PARAMETERS = [(name, param) for name, build in _SCENARIOS.items()
+              for param in inspect.signature(build).parameters]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("scenario,param", PARAMETERS)
+def test_parameter_must_be_positive_and_finite(scenario, param, value):
+    params = {**SCENARIO_PARAMS[scenario], param: value}
+    with pytest.raises(ip.InvalidScenarioParams, match=f"{scenario}: {param} must be positive"):
+        _SCENARIOS[scenario](**params)
+
+
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_descriptor_round_trips(scenario):
+    for shape in (_SCENARIOS[scenario](**SCENARIO_PARAMS[scenario]),
+                  ip.from_descriptor({"scenario": scenario, "params": SCENARIO_PARAMS[scenario]})):
+        assert shape.descriptor == {"scenario": scenario, "params": SCENARIO_PARAMS[scenario]}
+        assert ip.from_descriptor(shape.descriptor).descriptor == shape.descriptor
+
+
+@pytest.mark.parametrize("build,default", [(ip.constant_shape, {"level": 1.0}),
+                                           (ip.log_decay_shape, {"r0": 100.0})])
+def test_descriptor_records_defaults(build, default):
+    shape = build()
+    assert shape.descriptor["params"] == default
+    assert ip.from_descriptor(shape.descriptor).descriptor == shape.descriptor
 
 
 class TestDescriptor:
