@@ -32,9 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DivergentIntegral, DomainError, NonConvergence, NumericOverflow,
-                     UnsupportedAlpha, _check_finite)
-from .numerics import IntegralResult, _kernel_alpha2, _kernel_alpha4, integrate_semi_infinite
+from .errors import (DivergentIntegral, DomainError, NumericOverflow, UnsupportedAlpha,
+                     _check_finite, _check_nonnegative, _check_positive)
+from .numerics import (IntegralResult, _converged, _kernel_alpha2, _kernel_alpha4,
+                       integrate_semi_infinite)
 # unused here, but the benchmark's tracer (perfbench/tracer.py) patches them by name
 from .numerics import arctan_kernel, asinh_kernel  # noqa: F401
 from .shapes import ShapeFunction, TailKind
@@ -86,11 +87,10 @@ class ChannelModel:
     fading: FadingLaw
 
     def __post_init__(self):
-        _check_finite(alpha=self.alpha, c=self.c)
+        _check_finite(alpha=self.alpha)
+        _check_nonnegative(c=self.c)
         if self.alpha < 2:
             raise DomainError(f"path-loss exponent must be >= 2, got {self.alpha}")
-        if self.c < 0:
-            raise DomainError(f"path-loss constant must be >= 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class LinkConfig:
     eta_db: float = math.inf
 
     def __post_init__(self):
-        _check_finite(lambda_scale=self.lambda_scale, y0_norm=self.y0_norm, d=self.d,
-                      beta=self.beta)
+        _check_positive(lambda_scale=self.lambda_scale, d=self.d, beta=self.beta)
+        _check_nonnegative(y0_norm=self.y0_norm)
         if self.eta_db != math.inf:
             _check_finite(eta_db=self.eta_db)
         try:
@@ -118,20 +118,10 @@ class LinkConfig:
                                   "(the limit is about 3082.5 dB)") from None
         if eta == 0.0:
             raise DomainError(f"a mean SNR of {self.eta_db:g} dB underflows to 0")
-        if self.lambda_scale <= 0:
-            raise DomainError("intensity scale must be positive")
-        if self.d <= 0:
-            raise DomainError("link distance must be positive")
-        if self.beta <= 0:
-            raise DomainError("SINR threshold must be positive")
-        if self.y0_norm < 0:
-            raise DomainError("receiver offset must be nonnegative")
 
     @property
     def eta(self) -> float:
         """Mean SNR in linear units (inf when noise-free)."""
-        if math.isinf(self.eta_db):
-            return math.inf
         return 10.0 ** (self.eta_db / 10.0)
 
 
@@ -223,16 +213,13 @@ def interference_driving(
     DivergentIntegral at alpha = 2 unless the shape decays at least like a
     power law; at alpha = 4 the integral is finite for every shape.
     """
-    _check_finite(y0_norm=y0_norm, c=c)
+    _check_positive(c=c)
+    _check_nonnegative(y0_norm=y0_norm)
     if alpha not in _KERNELS:
         raise UnsupportedAlpha(
             f"closed forms exist only for path-loss exponents 2 and 4, got {alpha}; "
             "use the Monte-Carlo engine or the tail bounds instead"
         )
-    if c <= 0:
-        raise DomainError(f"A_{alpha:g} needs c > 0, got c={c}")
-    if y0_norm < 0:
-        raise DomainError("offset must be nonnegative")
     if not _mean_finite(shape, alpha):
         raise DivergentIntegral(
             "mean interference at path-loss exponent 2 is infinite unless the "
@@ -253,11 +240,7 @@ def mean_interference(
     Raises UnsupportedAlpha for alpha outside {2, 4} and DivergentIntegral
     when the alpha = 2 mean does not exist for this shape.
     """
-    _check_finite(lambda_scale=lambda_scale)
-    if channel.c <= 0:
-        raise DomainError("mean interference closed forms need c > 0")
-    if lambda_scale <= 0:
-        raise DomainError("intensity scale must be positive")
+    _check_positive(lambda_scale=lambda_scale)
     a = interference_driving(shape, y0_norm, channel.c, channel.alpha, tol)
     return IntegralResult(
         value=lambda_scale * a.value,
@@ -281,23 +264,18 @@ def laplace_transform(
     and 0 in the divergent regime (alpha = 2 with a tail decaying no faster
     than logarithmically, where I is almost surely infinite).
     """
-    _check_finite(lambda_scale=lambda_scale, y0_norm=y0_norm, s=s)
+    _check_positive(lambda_scale=lambda_scale)
+    _check_nonnegative(y0_norm=y0_norm, s=s)
     if channel.fading.kind != "rayleigh":
         raise DomainError("the interference Laplace transform assumes Rayleigh fading")
-    if s < 0:
-        raise DomainError("transform variable must be nonnegative")
     if s + channel.c <= 0:
         raise DomainError("need s + c > 0")
-    if lambda_scale <= 0:
-        raise DomainError("intensity scale must be positive")
     if s == 0.0:
         return 1.0
     if channel.alpha == 2 and not _mean_finite(shape, 2.0):
         return 0.0
     a = interference_driving(shape, y0_norm, s + channel.c, channel.alpha, tol)
-    if not a.converged:
-        raise NonConvergence("driving-function quadrature did not converge", result=a)
-    return math.exp(-lambda_scale * s * a.value)
+    return math.exp(-lambda_scale * s * _converged(a, "driving-function"))
 
 
 def classify_finiteness(shape: ShapeFunction, channel: ChannelModel) -> FinitenessVerdict:

@@ -6,14 +6,9 @@ import math
 from dataclasses import dataclass
 
 from .analytic import ChannelModel, FadingLaw, LinkConfig, _threshold, interference_driving
-from .errors import (
-    DegenerateDenominator,
-    DomainError,
-    NonConvergence,
-    RequiresZeroC,
-    UnsupportedAlpha,
-    _check_finite,
-)
+from .errors import (DegenerateDenominator, DomainError, RequiresZeroC, UnsupportedAlpha,
+                     _check_finite, _check_positive)
+from .numerics import _converged
 from .outage import outage_exact
 from .shapes import ShapeFunction, scenario_carrier_sense
 
@@ -44,12 +39,11 @@ def local_transmission_capacity(
     if not math.isinf(link.eta):
         raise DomainError("transmission capacity closed form assumes a noise-free link")
     s = _threshold(link.beta, channel.c, link.d, channel.alpha)
-    a = interference_driving(shape, link.y0_norm, s, channel.alpha, tol)
-    if not a.converged:
-        raise NonConvergence("driving-function quadrature did not converge", result=a)
-    if s * a.value == 0.0:
+    a = _converged(interference_driving(shape, link.y0_norm, s, channel.alpha, tol),
+                   "driving-function")
+    if s * a == 0.0:
         raise DegenerateDenominator("the interference exponent underflows to 0")
-    return -math.log1p(-epsilon) * (1.0 - epsilon) / (s * a.value)
+    return -math.log1p(-epsilon) * (1.0 - epsilon) / (s * a)
 
 
 @dataclass(frozen=True)
@@ -73,23 +67,17 @@ def fh_ds_gain(
     grows like 1 + pi F(0) log M / A_2(o, beta d^2); that asymptote is
     reported alongside the exact ratio.
     """
-    _check_finite(d=d, beta=beta, m=m)
+    _check_positive(d=d, beta=beta, f_zero=shape.f_zero)
+    _check_finite(m=m)
     if m < 1:
         raise DomainError("processing gain M must be >= 1")
-    if d <= 0 or beta <= 0:
-        raise DomainError("link distance and threshold must be positive")
-    if shape.f_zero <= 0:
-        raise DomainError("gain scaling needs a positive density at the origin")
     s = beta * d * d
-    base = interference_driving(shape, 0.0, s, 2, tol)
-    hopped = interference_driving(shape, 0.0, s / m, 2, tol)
-    for a in (base, hopped):
-        if not a.converged:
-            raise NonConvergence("driving-function quadrature did not converge", result=a)
-    if base.value == 0.0:
+    base = _converged(interference_driving(shape, 0.0, s, 2, tol), "driving-function")
+    hopped = _converged(interference_driving(shape, 0.0, s / m, 2, tol), "driving-function")
+    if base == 0.0:
         raise DegenerateDenominator("the driving function at the centre underflows to 0")
-    asymptote = 1.0 + math.pi * shape.f_zero * math.log(m) / base.value
-    return FhDsGain(ratio=hopped.value / base.value, asymptote=asymptote)
+    asymptote = 1.0 + math.pi * shape.f_zero * math.log(m) / base
+    return FhDsGain(ratio=hopped / base, asymptote=asymptote)
 
 
 def csma_large_scale_density(
@@ -105,13 +93,10 @@ def csma_large_scale_density(
 
     Always in (0, lambda]; tends to lambda as the sensing threshold grows.
     """
-    _check_finite(lambda_potential=lambda_potential, alpha=alpha, delta_sense=delta_sense)
-    if lambda_potential <= 0:
-        raise DomainError("potential density must be positive")
+    _check_positive(lambda_potential=lambda_potential, delta_sense=delta_sense)
+    _check_finite(alpha=alpha)
     if alpha < 2:
         raise DomainError("path-loss exponent must be >= 2")
-    if delta_sense <= 0:
-        raise DomainError("sensing threshold must be positive")
     area = math.pi * math.gamma(1.0 + 2.0 / alpha) * delta_sense ** (-2.0 / alpha)
     return -math.expm1(-lambda_potential * area) / area
 
@@ -141,8 +126,6 @@ def csma_accuracy_loss(
     """
     if alpha != 4:
         raise UnsupportedAlpha("the accuracy-loss study is defined for alpha = 4")
-    if d <= 0 or beta <= 0:
-        raise DomainError("link distance and threshold must be positive")
     lam_active = csma_large_scale_density(lambda_potential, alpha, delta_sense)
     shape = csma_shape(delta_sense, alpha)
     channel = ChannelModel(alpha=alpha, c=0.0, fading=FadingLaw.rayleigh())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ChannelModel, interference_driving
-from .errors import DomainError, NonConvergence, OutsideRegion, _check_finite
-from .numerics import integrate_interval, integrate_semi_infinite
+from .errors import DomainError, OutsideRegion, _check_nonnegative, _check_positive
+from .numerics import _converged, integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
 # r f(r) may fall by at most this much across a grid cell (it is dimensionless)
@@ -36,7 +36,7 @@ class RadialRegion:
     def __post_init__(self):
         prev_hi = -1.0
         for lo, hi in self.intervals:
-            if lo < 0 or hi <= lo:
+            if not 0 <= lo < hi:
                 raise DomainError(f"invalid interval ({lo}, {hi})")
             if lo < prev_hi:
                 raise DomainError("intervals must be ordered and disjoint")
@@ -60,8 +60,7 @@ def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
     interval is extended to infinity provided the test also passes at
     geometrically growing probe radii.
     """
-    if grid_step <= 0:
-        raise DomainError("grid step must be positive")
+    _check_positive(grid_step=grid_step)
     r_max = max(2.0 * shape.scale, 10.0 * grid_step, 1.2 * max(shape.knots, default=0.0))
     n = int(math.floor(r_max / grid_step))
     if n < 4:
@@ -95,8 +94,7 @@ def max_inscribed_radius(region: RadialRegion, y0_norm: float) -> float:
     """Radius of the largest disc centred at offset ``y0_norm`` inside the
     region (annulus geometry; an interval starting at 0 is a full disc, so
     the inscribed disc may cover the origin)."""
-    if y0_norm < 0:
-        raise DomainError("offset must be nonnegative")
+    _check_nonnegative(y0_norm=y0_norm)
     for lo, hi in region.intervals:
         interior = (lo == 0.0 and y0_norm < hi) or (lo < y0_norm < hi)
         if not interior:
@@ -127,11 +125,7 @@ def lower_tail_bound(
     the semi-infinite quadrature path.  Without ``region`` the subharmonic
     region is detected on a grid of shape.scale / 256.
     """
-    _check_finite(lambda_scale=lambda_scale, y0_norm=y0_norm, z=z)
-    if z <= 0:
-        raise DomainError("interference level z must be positive")
-    if lambda_scale <= 0:
-        raise DomainError("intensity scale must be positive")
+    _check_positive(lambda_scale=lambda_scale, z=z)
     if channel.fading.tail is None:
         raise DomainError("lower bound needs a fading law with a known tail P(g >= x)")
     if region is None:
@@ -159,10 +153,8 @@ def lower_tail_bound(
         integ = integrate_semi_infinite(integrand, tol, knee=max(shape.scale, 1.0))
     else:
         integ = integrate_interval(integrand, 0.0, rbar, tol, knots=knots)
-    if not integ.converged:
-        raise NonConvergence("dominant-interferer quadrature did not converge", result=integ)
-
-    exponent = 2.0 * math.pi * lambda_scale * float(shape.eval_f(y0_norm)) * integ.value
+    exponent = (2.0 * math.pi * lambda_scale * float(shape.eval_f(y0_norm))
+                * _converged(integ, "dominant-interferer"))
     return -math.expm1(-exponent)
 
 
@@ -175,12 +167,6 @@ def markov_upper_tail(
     tol: float = 1e-10,
 ) -> float:
     """Markov upper bound min(1, lambda A_alpha(y0, c) / z) on P(I >= z)."""
-    _check_finite(lambda_scale=lambda_scale, z=z)
-    if z <= 0:
-        raise DomainError("interference level z must be positive")
-    if lambda_scale <= 0:
-        raise DomainError("intensity scale must be positive")
+    _check_positive(lambda_scale=lambda_scale, z=z)
     a = interference_driving(shape, y0_norm, channel.c, channel.alpha, tol)
-    if not a.converged:
-        raise NonConvergence("driving-function quadrature did not converge", result=a)
-    return min(1.0, lambda_scale * a.value / z)
+    return min(1.0, lambda_scale * _converged(a, "driving-function") / z)

@@ -29,6 +29,7 @@ from .errors import (
     NoFiniteTruncation,
     NonConvergence,
     _check_finite,
+    _check_positive,
 )
 
 EXIT_OK = 0
@@ -136,9 +137,8 @@ def _parse_axis(spec: str):
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise DomainError(f"bad axis spec {spec!r}; expected name=start:stop:step") from exc
-    _check_finite(start=start, stop=stop, step=step)
-    if step <= 0:
-        raise DomainError("axis step must be positive")
+    _check_finite(start=start, stop=stop)
+    _check_positive(step=step)
     if stop < start:
         return name.strip(), np.empty(0)
     count = int(math.floor((stop - start) / step + 1e-9)) + 1

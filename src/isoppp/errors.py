@@ -62,3 +62,21 @@ def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _check_positive(**values: float) -> None:
+    """Raise DomainError naming the first value that is not finite, else the
+    first that is not positive."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            _check_finite(**values)
+            raise DomainError(f"{name} must be positive, got {value}")
+
+
+def _check_nonnegative(**values: float) -> None:
+    """Raise DomainError naming the first value that is not finite, else the
+    first that is negative."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            _check_finite(**values)
+            raise DomainError(f"{name} must be nonnegative, got {value}")

@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .analytic import ChannelModel, LinkConfig, _mean_finite, _threshold, interference_driving
-from .errors import DomainError, NoFiniteTruncation, NonConvergence, _check_finite
-from .numerics import integrate_interval, integrate_semi_infinite
+from .errors import DomainError, NoFiniteTruncation, _check_positive
+from .numerics import _converged, integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -48,13 +48,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.max_radius_override is not None:
-            _check_finite(max_radius_override=self.max_radius_override)
+            _check_positive(max_radius_override=self.max_radius_override)
         if self.trials < 1:
             raise DomainError("need at least one trial")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be a nonnegative 64-bit integer")
-        if self.max_radius_override is not None and self.max_radius_override <= 0:
-            raise DomainError("radius override must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,13 +111,6 @@ def _tail_mean_bound(shape: ShapeFunction, channel: ChannelModel, y0_norm: float
     return 2.0 * math.pi * integ.value
 
 
-def _converged(result, what: str) -> float:
-    """Value of a quadrature that converged; NonConvergence otherwise."""
-    if not result.converged:
-        raise NonConvergence(f"{what} quadrature did not converge", result=result)
-    return result.value
-
-
 def _truncated_mean_per_intensity(
     shape: ShapeFunction, channel: ChannelModel, y0_norm: float, radius: float
 ) -> float:
@@ -132,7 +123,8 @@ def _truncated_mean_per_intensity(
     def fn(r):
         r = np.asarray(r, dtype=float)
         d2 = r[:, None] ** 2 + y0_norm**2 - 2.0 * r[:, None] * y0_norm * cos_phi[None, :]
-        avg = np.mean(1.0 / (c + d2 ** (alpha / 2.0)), axis=1)
+        with np.errstate(over="ignore"):  # d^alpha = inf gives the limit 0
+            avg = np.mean(1.0 / (c + d2 ** (alpha / 2.0)), axis=1)
         return 2.0 * math.pi * r * np.asarray(shape.eval_f(r), dtype=float) * avg
 
     return _converged(integrate_interval(fn, 0.0, radius, 1e-9, knots=shape.knots),
@@ -156,7 +148,7 @@ def truncation_radius(shape: ShapeFunction, channel: ChannelModel,
             "no finite sampling radius bounds the neglected interference: the "
             "mean is infinite for this density at path-loss exponent 2"
         )
-    if channel.c <= 0:
+    if channel.c == 0:
         raise DomainError(
             "unbounded path loss (c = 0) has no finite-mean truncation "
             "reference; pass a radius override to simulate it anyway"
@@ -191,18 +183,18 @@ class PointProcessSampler:
     must each hold 1/64 of the mass of r F(r), computed by direct
     quadrature, to a relative tolerance of 1e-3.  If a bin misses, the knot
     count is doubled and the table rebuilt; after three rebuilds the sampler
-    raises DomainError.
+    raises DomainError.  It also refuses, with DomainError, a disc whose
+    quadrature mass is not positive and finite, and one whose expected node
+    count exceeds 1e7 a trial.
     """
 
+    _MAX_MEAN_COUNT = 1e7
     _TABLE_KNOTS = 10**4
     _VALIDATION_BINS = 64
     _VALIDATION_TOL = 1e-3
 
     def __init__(self, shape: ShapeFunction, lambda_scale: float, max_radius: float):
-        if lambda_scale <= 0:
-            raise DomainError("intensity scale must be positive")
-        if max_radius <= 0:
-            raise DomainError("sampling radius must be positive")
+        _check_positive(lambda_scale=lambda_scale, max_radius=max_radius)
         self.shape = shape
         self.lambda_scale = lambda_scale
         self.max_radius = float(max_radius)
@@ -219,7 +211,13 @@ class PointProcessSampler:
         mass = _converged(
             integrate_interval(radial_mass, 0.0, r_eff, 1e-12, knots=shape.knots), "sampler mass"
         )
+        if not 0.0 < mass < math.inf:
+            raise DomainError(f"quadrature of r F(r) over [0, {r_eff:g}] gives a mass of {mass:g}; "
+                              "the sampler needs a positive mass")
         self.mean_count = 2.0 * math.pi * lambda_scale * mass
+        if self.mean_count > self._MAX_MEAN_COUNT:
+            raise DomainError(f"{self.mean_count:.3g} nodes expected a trial exceed the sampler's "
+                              f"limit of {self._MAX_MEAN_COUNT:g}")
         self._mass = mass
 
         knots = self._TABLE_KNOTS
@@ -309,7 +307,7 @@ def simulate(
 
     trials = sim_cfg.trials
     interference = np.empty(trials)
-    noise = 0.0 if math.isinf(link.eta) else 1.0 / link.eta
+    noise = 1.0 / link.eta
     gain_inv = _threshold(1.0, c, link.d, alpha)  # 1 / ell(d)
 
     rng = np.random.default_rng(sim_cfg.seed)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergence, _check_finite, _check_nonnegative, _check_positive
 
 MAX_EVALUATIONS = 10**6
 # a panel whose error estimate is at most this multiple of the integral of
@@ -96,19 +96,22 @@ class IntegralResult:
     evaluations: int
 
     def __post_init__(self):
-        if self.abs_error < 0:
-            raise DomainError("abs_error must be nonnegative")
+        # inf is the estimate of an integral that met a non-finite value
+        if not 0.0 <= self.abs_error <= math.inf:
+            raise DomainError(f"abs_error must lie in [0, inf], got {self.abs_error}")
 
 
-def origin_epsilon(c: float) -> float:
-    """Offset threshold below which the receiver is treated as centred."""
-    return 1e-6 * max(1.0, math.sqrt(c))
+def _converged(result: IntegralResult, what: str) -> float:
+    """Value of a quadrature that converged; NonConvergence otherwise."""
+    if not result.converged:
+        raise NonConvergence(f"{what} quadrature did not converge", result=result)
+    return result.value
 
 
 def asinh_kernel(r, c: float, y0_norm: float):
     """Radial kernel of the paper's by-parts mean at path-loss exponent 2.
 
-    For offsets above ``origin_epsilon(c)`` this is
+    For offsets above ``1e-6 max(1, sqrt(c))`` this is
     ``asinh((r^2 + c - y0^2) / (2 y0 sqrt(c)))``; at (and near) the origin
     the asinh argument degenerates as 1/y0 and the kernel is replaced by
     ``log(r^2 + y0^2 + c)``.  The two branches differ by an r-independent
@@ -116,14 +119,12 @@ def asinh_kernel(r, c: float, y0_norm: float):
 
     Accepts a scalar radius or an array of radii.
     """
-    if c <= 0:
-        raise DomainError(f"path-loss constant c must be positive, got c={c}")
-    if y0_norm < 0:
-        raise DomainError("offset must be nonnegative")
+    _check_positive(c=c)
+    _check_nonnegative(y0_norm=y0_norm)
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(arr < 0):
         raise DomainError("radius must be nonnegative")
-    if y0_norm <= origin_epsilon(c):
+    if y0_norm <= 1e-6 * max(1.0, math.sqrt(c)):
         out = np.log(arr * arr + y0_norm * y0_norm + c)
     else:
         out = np.arcsinh((arr * arr + c - y0_norm * y0_norm) / (2.0 * y0_norm * math.sqrt(c)))
@@ -152,10 +153,8 @@ def arctan_kernel(r, c: float, y0_norm: float):
 
     Accepts a scalar radius or an array of radii.
     """
-    if c <= 0:
-        raise DomainError(f"path-loss constant c must be positive, got c={c}")
-    if y0_norm < 0:
-        raise DomainError("offset must be nonnegative")
+    _check_positive(c=c)
+    _check_nonnegative(y0_norm=y0_norm)
     s = math.sqrt(c)
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(arr < 0):
@@ -223,8 +222,7 @@ def _adaptive(pieces, tol: float, max_evals: int) -> IntegralResult:
     drift, and a stop is confirmed on exact ``math.fsum`` sums, so the panels
     bisected are those that exact sums after every bisection would choose.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    _check_positive(tol=tol)
     heap = []  # (-error, serial, a, b, value, error, fn); key 0.0 marks a done panel
     serial = 0
     evals = 0
@@ -300,6 +298,7 @@ def integrate_interval(
     ``knots`` are inserted as panel boundaries so that integrands that are
     only piecewise smooth keep full convergence order.
     """
+    _check_finite(a=a, b=b)
     if b < a:
         raise DomainError("need a <= b")
     pieces = [(fn, lo, hi) for lo, hi in _split_at_knots(a, b, knots)]

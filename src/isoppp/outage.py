@@ -5,13 +5,8 @@ from __future__ import annotations
 import math
 
 from .analytic import ChannelModel, LinkConfig, _radial, _threshold, laplace_transform
-from .errors import (
-    DegenerateDenominator,
-    DomainError,
-    NonConvergence,
-    RequiresZeroC,
-    UnsupportedAlpha,
-)
+from .errors import DegenerateDenominator, DomainError, RequiresZeroC, UnsupportedAlpha
+from .numerics import _converged
 from .shapes import ShapeFunction
 
 DEGENERATE_TOL = 1e-15
@@ -26,8 +21,7 @@ def outage_exact(
     """
     s = _threshold(link.beta, channel.c, link.d, channel.alpha)
     transform = laplace_transform(shape, channel, link.lambda_scale, link.y0_norm, s, tol)
-    noise = 0.0 if math.isinf(link.eta) else link.beta / link.eta
-    value = 1.0 - transform * math.exp(-noise)
+    value = 1.0 - transform * math.exp(-link.beta / link.eta)
     return min(1.0, max(0.0, value))
 
 
@@ -91,9 +85,7 @@ def log_divergence(
     # beyond the shape's support the weight is F(y0): zero only for y0 outside it
     support_end = shape.support_end if f_y0 == 0.0 else None
     gap = _radial(shape, link.y0_norm, s, 4, lambda r: f_y0 - shape.eval_f(r), tol, support_end)
-    if not gap.converged:
-        raise NonConvergence("log-divergence quadrature did not converge", result=gap)
-    return s * gap.value
+    return s * _converged(gap, "log-divergence")
 
 
 def relative_error(

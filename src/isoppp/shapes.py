@@ -34,6 +34,9 @@ class TailKind(Enum):
     LOG_DECAY = "log_decay"
 
 
+_PARAMETRISED = (TailKind.COMPACT_SUPPORT, TailKind.POWER_DECAY, TailKind.EXPONENTIAL_DECAY)
+
+
 @dataclass(frozen=True)
 class TailClass:
     """Large-radius behaviour of a shape function.
@@ -46,15 +49,9 @@ class TailClass:
     param: float | None = None
 
     def __post_init__(self):
-        if self.kind is TailKind.COMPACT_SUPPORT:
-            if self.param is None or self.param <= 0:
-                raise InvalidScenarioParams("compact support needs a positive end radius")
-        elif self.kind is TailKind.POWER_DECAY:
-            if self.param is None or self.param <= 0:
-                raise InvalidScenarioParams("power decay needs a positive exponent")
-        elif self.kind is TailKind.EXPONENTIAL_DECAY:
-            if self.param is None or self.param <= 0:
-                raise InvalidScenarioParams("exponential decay needs a positive rate")
+        if self.kind in _PARAMETRISED and not 0.0 < (self.param or 0.0) < math.inf:
+            raise InvalidScenarioParams(f"a {self.kind.value} tail needs a positive finite "
+                                        f"parameter, got {self.param}")
 
 
 def _radial(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -69,6 +66,19 @@ def _radial(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
     call.__name__ = fn.__name__
     return call
+
+
+def _derivative(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """``_radial`` for a derivative.  At extreme parameters its factors over-
+    or underflow; an inf * 0 product there stands for the limit 0."""
+
+    def guarded(r):
+        with np.errstate(all="ignore"):
+            out = fn(r)
+        return np.where(np.isnan(out), 0.0, out)
+
+    guarded.__name__ = fn.__name__
+    return _radial(guarded)
 
 
 @dataclass(frozen=True)
@@ -162,7 +172,7 @@ def scenario_finite_network(r0: float, r1: float) -> ShapeFunction:
     f_eval, f_deriv = _plateau_pair(r0, r1)
     return ShapeFunction(
         eval_f=_radial(f_eval),
-        eval_deriv=_radial(f_deriv),
+        eval_deriv=_derivative(f_deriv),
         tail=TailClass(TailKind.COMPACT_SUPPORT, float(r1)),
         knots=(r0, r1),
         scale=r1,
@@ -197,7 +207,7 @@ def scenario_urban_hotspot(
     r_end = max(hot_r1, base_r1)
     return ShapeFunction(
         eval_f=_radial(f_eval),
-        eval_deriv=_radial(f_deriv),
+        eval_deriv=_derivative(f_deriv),
         tail=TailClass(TailKind.COMPACT_SUPPORT, float(r_end)),
         knots=tuple(sorted({hot_r0, hot_r1, base_r0, base_r1})),
         scale=r_end,
@@ -210,14 +220,15 @@ def scenario_scattered(rho: float) -> ShapeFunction:
     or otherwise scattered deployment)."""
 
     def f_eval(r):
-        return np.exp(-r / rho)
+        with np.errstate(over="ignore"):  # r / rho = inf gives the limit F = 0
+            return np.exp(-r / rho)
 
     def f_deriv(r):
         return -np.exp(-r / rho) / rho
 
     return ShapeFunction(
         eval_f=_radial(f_eval),
-        eval_deriv=_radial(f_deriv),
+        eval_deriv=_derivative(f_deriv),
         tail=TailClass(TailKind.EXPONENTIAL_DECAY, float(1.0 / rho)),
         scale=rho,
     )
@@ -228,6 +239,13 @@ def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
     """Scenario D: 1 - exp(-delta * r^alpha), the density of contenders that
     fail to sense a transmitter at the origin (hole around the origin,
     saturating to full density far away)."""
+    try:
+        scale = delta ** (-1.0 / alpha)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise InvalidScenarioParams(f"scenario D: alpha={alpha:g} is too small for "
+                                    f"delta={delta:g}: the scale delta^(-1/alpha) is {scale:g}")
 
     def f_eval(r):
         with np.errstate(over="ignore"):  # r^alpha = inf gives the limit F = 1
@@ -238,9 +256,9 @@ def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
 
     return ShapeFunction(
         eval_f=_radial(f_eval),
-        eval_deriv=_radial(f_deriv),
+        eval_deriv=_derivative(f_deriv),
         tail=TailClass(TailKind.NON_DECAYING),
-        scale=delta ** (-1.0 / alpha),
+        scale=scale,
     )
 
 
@@ -258,7 +276,7 @@ def constant_shape(level: float = 1.0) -> ShapeFunction:
 
     return ShapeFunction(
         eval_f=_radial(f_eval),
-        eval_deriv=_radial(f_deriv),
+        eval_deriv=_derivative(f_deriv),
         tail=TailClass(TailKind.NON_DECAYING),
     )
 
@@ -273,11 +291,12 @@ def power_tail_shape(nu: float, r0: float) -> ShapeFunction:
             return (1.0 + (r / r0) ** 2) ** (-nu / 2.0)
 
     def f_deriv(r):
-        return -nu * (r / r0**2) * (1.0 + (r / r0) ** 2) ** (-nu / 2.0 - 1.0)
+        # a numpy r0^2 overflows to inf where a Python float raises
+        return -nu * (r / np.float64(r0) ** 2) * (1.0 + (r / r0) ** 2) ** (-nu / 2.0 - 1.0)
 
     return ShapeFunction(
         eval_f=_radial(f_eval),
-        eval_deriv=_radial(f_deriv),
+        eval_deriv=_derivative(f_deriv),
         tail=TailClass(TailKind.POWER_DECAY, float(nu)),
         scale=r0,
     )
@@ -293,14 +312,15 @@ def log_decay_shape(r0: float = 100.0) -> ShapeFunction:
     """
 
     def f_eval(r):
-        return 1.0 / (1.0 + np.log1p(r / r0))
+        with np.errstate(over="ignore"):  # r / r0 = inf gives the limit F = 0
+            return 1.0 / (1.0 + np.log1p(r / r0))
 
     def f_deriv(r):
         return -1.0 / (r0 * (1.0 + r / r0) * (1.0 + np.log1p(r / r0)) ** 2)
 
     return ShapeFunction(
         eval_f=_radial(f_eval),
-        eval_deriv=_radial(f_deriv),
+        eval_deriv=_derivative(f_deriv),
         tail=TailClass(TailKind.LOG_DECAY),
         scale=r0,
     )

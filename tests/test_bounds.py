@@ -45,6 +45,11 @@ class TestSubharmonicRegion:
                                           step).intervals
         assert lo == 0.0 and hi == pytest.approx(255.0 * step, rel=1e-12)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_grid_step_is_domain_error(self, step):
+        with pytest.raises(ip.DomainError, match="grid_step must be finite"):
+            ip.subharmonic_region(ip.scenario_scattered(100.0), step)
+
     def test_knots_are_excluded(self):
         shape = ip.scenario_finite_network(50.0, 80.0)
         region = ip.subharmonic_region(shape, 0.25)
@@ -78,6 +83,11 @@ class TestMaxInscribedRadius:
             ip.RadialRegion(intervals=((5.0, 4.0),))
         with pytest.raises(ip.DomainError):
             ip.RadialRegion(intervals=((0.0, 5.0), (4.0, 8.0)))
+
+    @pytest.mark.parametrize("interval", [(math.nan, 5.0), (0.0, math.nan)])
+    def test_nan_bound_is_domain_error(self, interval):
+        with pytest.raises(ip.DomainError):
+            ip.RadialRegion(intervals=(interval,))
 
 
 class TestLowerTailBound:
@@ -179,7 +189,7 @@ class TestMarkovUpperTail:
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
 
     @pytest.mark.parametrize("lam, z, message", [
-        (-1e-3, 1.0, "intensity scale must be positive"),
+        (-1e-3, 1.0, "lambda_scale must be positive"),
         (math.nan, 1.0, "lambda_scale must be finite"),
         (1e-3, math.nan, "z must be finite"),
     ])

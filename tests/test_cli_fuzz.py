@@ -1,4 +1,4 @@
-"""Fuzz gate for the analytic CLI commands.
+"""Fuzz gates for the analytic CLI commands and for ``simulate``.
 
 Each example runs one analytic command through ``cli.main`` with one numeric
 argument, or one parameter of any registered scenario, set to an extreme or
@@ -59,6 +59,27 @@ def test_extreme_argument_exits_cleanly(command, data, value):
     if shaped:
         scenario, param = target if isinstance(target, tuple) else ("C", None)
         argv += ["--shape", _shape(scenario, param, value)]
+    if isinstance(target, str):
+        argv.append(f"{target}={value!r}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a form with exit 2
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+
+
+SIMULATE = ["simulate", "--alpha", "4", "--y0", "30", "--trials", "10"]
+
+
+@settings(derandomize=True, database=None, deadline=timedelta(seconds=2), max_examples=200)
+@given(target=st.sampled_from((*LINK, "--max-radius", *SHAPE_PARAMS)),
+       value=st.sampled_from(EXTREMES))
+def test_extreme_simulate_argument_exits_cleanly(target, value):
+    """The same gate for ``simulate`` on C(100) at 10 trials: one link option,
+    ``--max-radius`` or one scenario parameter at an extreme value."""
+    scenario, param = target if isinstance(target, tuple) else ("C", None)
+    argv = [*SIMULATE, "--shape", _shape(scenario, param, value)]
     if isinstance(target, str):
         argv.append(f"{target}={value!r}")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

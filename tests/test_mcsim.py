@@ -146,6 +146,30 @@ class TestPointProcessSampler:
         with pytest.raises(ip.DomainError):
             Distorted(ip.scenario_scattered(100.0), 1e-3, 2000.0)
 
+    @pytest.mark.parametrize("lam, radius", [(math.nan, 100.0), (math.inf, 100.0),
+                                             (1e-3, math.nan), (1e-3, math.inf)])
+    def test_non_finite_intensity_or_radius_is_domain_error(self, lam, radius):
+        with pytest.raises(ip.DomainError, match="must be finite"):
+            ip.PointProcessSampler(ip.scenario_scattered(100.0), lam, radius)
+
+    @pytest.mark.parametrize("shape, radius", [
+        (ip.scenario_scattered(100.0), 1e8),  # the quadrature misses the mass near 0
+        (ip.scenario_scattered(100.0), 1e-300),
+        (ip.scenario_scattered(1e-300), 100.0),
+        (ip.power_tail_shape(1e300, 50.0), 100.0),
+        (ip.power_tail_shape(2.0, 1e-300), 100.0),
+    ])
+    def test_massless_disc_is_domain_error(self, shape, radius):
+        with pytest.raises(ip.DomainError, match="mass of 0"):
+            ip.PointProcessSampler(shape, 1e-3, radius)
+
+    @pytest.mark.parametrize("shape, radius", [(ip.constant_shape(), 1e6),
+                                               (ip.scenario_carrier_sense(1e-300, 4.0), 1e76)])
+    def test_too_many_points_is_domain_error(self, shape, radius):
+        # refused before the table is built: 3.1e9 and 3.1e149 nodes a trial
+        with pytest.raises(ip.DomainError, match="nodes expected a trial"):
+            ip.PointProcessSampler(shape, 1e-3, radius)
+
     def test_one_shot_wrapper(self):
         rng = np.random.default_rng(9)
         radii, angles = ip.PointProcessSampler(ip.constant_shape(1.0), 1e-2, 30.0).sample(rng)
@@ -298,6 +322,14 @@ def test_sim_config_validation():
         ip.SimConfig(trials=10, seed=1, max_radius_override=math.nan)
     with pytest.raises(ip.DomainError):
         ip.SimConfig(trials=10, seed=1, max_radius_override=math.inf)
+
+
+def test_truncated_mean_takes_overflow_as_its_limit():
+    # at alpha = 1e300 every d^alpha beyond unit distance overflows to inf,
+    # where the path loss is 0; RuntimeWarnings are errors here
+    channel = rayleigh_channel(1e300, 1.0)
+    value = mcsim._truncated_mean_per_intensity(ip.scenario_scattered(100.0), channel, 30.0, 200.0)
+    assert 0.0 <= value < math.inf
 
 
 def test_sim_config_radius_override_is_keyword_only():

@@ -211,6 +211,11 @@ class TestIntegrateInterval:
         with pytest.raises(ip.DomainError):
             ip.integrate_interval(lambda x: x, 0.0, 1.0, tol)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_rejects_non_finite_bound(self, a, b):
+        with pytest.raises(ip.DomainError, match="must be finite"):
+            ip.integrate_interval(lambda x: x, a, b)
+
     def test_roundoff_floor_ends_a_cancelling_integral(self):
         # the exact value is 0, so no relative tolerance can be met; every
         # panel must instead stop once resolved to round-off

@@ -186,6 +186,50 @@ def test_parameter_must_be_positive_and_finite(scenario, param, value):
         _SCENARIOS[scenario](**params)
 
 
+@pytest.mark.parametrize("value", [1e-300, 1e300])
+@pytest.mark.parametrize("scenario,param", PARAMETERS)
+def test_profile_at_extreme_parameter_has_no_nan(scenario, param, value):
+    """An accepted extreme parameter gives a profile and a derivative free of
+    NaN and of RuntimeWarnings (errors under the test configuration)."""
+    params = {**SCENARIO_PARAMS[scenario], param: value}
+    try:
+        shape = _SCENARIOS[scenario](**params)
+    except ip.InvalidScenarioParams:
+        return
+    r = np.array([0.0, 1.0, 1e3, 1e300])
+    for evaluate in (shape.eval_f, shape.eval_deriv):
+        assert not np.any(np.isnan(evaluate(r))), evaluate.__name__
+
+
+@pytest.mark.parametrize("shape", [
+    ip.power_tail_shape(2.0, 1e-300), ip.power_tail_shape(1e300, 50.0),
+    ip.power_tail_shape(2.0, 1e300), ip.scenario_carrier_sense(1e-300, 4.0),
+    ip.scenario_carrier_sense(1e300, 4.0), ip.scenario_carrier_sense(1e-5, 1e300),
+    ip.scenario_scattered(1e-300),
+], ids=lambda shape: str(shape.descriptor["params"]))
+def test_derivative_far_out_is_its_limit_zero(shape):
+    assert shape.eval_deriv(1e300) == 0.0
+
+
+def test_power_tail_derivative_with_tiny_knee_is_zero():
+    # r0^2 underflows to 0 and (r / r0)^2 overflows; the derivative is 0 to a double
+    shape = ip.power_tail_shape(2.0, 1e-300)
+    np.testing.assert_array_equal(shape.eval_deriv(np.array([0.0, 1.0, 1e3])), 0.0)
+
+
+@pytest.mark.parametrize("kind", [TailKind.COMPACT_SUPPORT, TailKind.POWER_DECAY,
+                                  TailKind.EXPONENTIAL_DECAY])
+@pytest.mark.parametrize("param", [None, math.nan, math.inf, 0.0, -1.0])
+def test_tail_parameter_must_be_positive_and_finite(kind, param):
+    with pytest.raises(ip.DomainError):
+        ip.TailClass(kind, param)
+
+
+def test_carrier_sense_scale_overflow_names_alpha():
+    with pytest.raises(ip.InvalidScenarioParams, match="scenario D: alpha=1e-300"):
+        ip.from_descriptor({"scenario": "D", "params": {"delta": 1e-5, "alpha": 1e-300}})
+
+
 @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
 def test_descriptor_round_trips(scenario):
     for shape in (_SCENARIOS[scenario](**SCENARIO_PARAMS[scenario]),
