@@ -43,11 +43,18 @@ class RadialRegion:
             prev_hi = hi
 
 
+def _rf(shape: ShapeFunction, r: np.ndarray) -> np.ndarray:
+    """r f(r), taken as its limit 0 at r = 0, where f itself may be infinite
+    (F ~ r^a with a < 1); f is evaluated only at r > 0."""
+    rf = np.zeros_like(r)
+    inside = r > 0.0
+    rf[inside] = r[inside] * np.asarray(shape.eval_deriv(r[inside]), dtype=float)
+    return rf
+
+
 def _rf_nondecreasing(shape: ShapeFunction, r: np.ndarray, h: float) -> np.ndarray:
     """Whether r f(r) falls by at most the drop tolerance from r - h to r + h."""
-    f = shape.eval_deriv
-    rise = (r + h) * np.asarray(f(r + h)) - (r - h) * np.asarray(f(r - h))
-    return rise >= -_RF_DROP
+    return _rf(shape, r + h) - _rf(shape, r - h) >= -_RF_DROP
 
 
 def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:

@@ -5,7 +5,8 @@ import pytest
 
 import isoppp as ip
 from isoppp import bounds
-from conftest import rayleigh_channel, unit_channel
+from isoppp.shapes import _SCENARIOS
+from conftest import SCENARIO_PARAMS, rayleigh_channel, unit_channel
 
 
 def _unconverged(*args, **kwargs):
@@ -49,6 +50,34 @@ class TestSubharmonicRegion:
     def test_non_finite_grid_step_is_domain_error(self, step):
         with pytest.raises(ip.DomainError, match="grid_step must be finite"):
             ip.subharmonic_region(ip.scenario_scattered(100.0), step)
+
+    def test_infinite_derivative_at_origin(self):
+        # D with alpha < 1 has F'(0) = inf; r f(r) is taken as its limit 0
+        # there, so no warning escapes (warnings are errors here) and the
+        # convex rise from the origin is found
+        shape = ip.scenario_carrier_sense(1e-5, 0.5)
+        assert ip.subharmonic_region(shape, shape.scale / 256.0).intervals == (
+            (0.0, shape.scale),)
+
+    @pytest.mark.parametrize("scenario, intervals", [
+        ("A", ((0.0, 493.75), (665.625, 793.75), (806.25, math.inf))),
+        ("B", ((0.0, 7.8125), (21.875, 28.125), (32.8125, 196.875), (314.0625, 396.875),
+               (403.125, math.inf))),
+        ("C", ((100.390625, math.inf),)),
+        ("D", ((0.0, 17.713330060934585),)),
+        ("constant", ((0.0, math.inf),)),
+        ("powerTail", ((50.1953125, math.inf),)),
+        ("logDecay", ((79.296875, math.inf),)),
+    ])
+    def test_catalogued_regions_pinned(self, scenario, intervals):
+        shape = _SCENARIOS[scenario](**SCENARIO_PARAMS[scenario])
+        assert ip.subharmonic_region(shape, shape.scale / 256.0).intervals == intervals
+
+    def test_criterion7_regions_pinned(self):
+        assert ip.subharmonic_region(ip.scenario_scattered(1.0), 0.002).intervals == (
+            (1.002, math.inf),)
+        assert ip.subharmonic_region(ip.scenario_carrier_sense(1e-5, 4.0), 0.05).intervals == (
+            (0.0, 17.75),)
 
     def test_knots_are_excluded(self):
         shape = ip.scenario_finite_network(50.0, 80.0)

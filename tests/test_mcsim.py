@@ -8,7 +8,8 @@ from scipy.stats import chi2
 
 import isoppp as ip
 from isoppp import mcsim
-from conftest import campbell_mean, rayleigh_channel, unit_channel
+from isoppp.shapes import _SCENARIOS
+from conftest import SCENARIO_PARAMS, campbell_mean, rayleigh_channel, unit_channel
 
 
 def _unconverged(monkeypatch):
@@ -337,3 +338,106 @@ def test_sim_config_radius_override_is_keyword_only():
     with pytest.raises(TypeError):
         ip.SimConfig(100, 1, 1e-3)
     assert ip.SimConfig(100, 1, max_radius_override=1e3).max_radius_override == 1e3
+
+
+def _per_trial_simulate(shape, channel, link, sim_cfg, *, z_grid=None, s_grid=None,
+                        want_outage=False):
+    """``simulate`` as one loop over trials: each trial is sampled on its own
+    and inverted with ``np.interp`` on the sampler's table, its path loss
+    summed with ``np.sum``, and the outage coins drawn after every trial."""
+    alpha, c, y0, lam = channel.alpha, channel.c, link.y0_norm, link.lambda_scale
+    fading = channel.fading.sampler
+    if sim_cfg.max_radius_override is not None:
+        radius = sim_cfg.max_radius_override
+        bias = lam * mcsim._tail_mean_bound(shape, channel, y0, radius)
+    else:
+        trunc = ip.truncation_radius(shape, channel, y0)
+        radius, bias = trunc.radius, lam * trunc.mean_tail_bound_per_intensity
+    sampler = ip.PointProcessSampler(shape, lam, radius)
+    rng = np.random.default_rng(sim_cfg.seed)
+    interference = np.empty(sim_cfg.trials)
+    for i in range(sim_cfg.trials):
+        n = rng.poisson(sampler.mean_count)
+        radii = np.interp(rng.random(n), sampler._cum, sampler._grid)
+        angles = rng.uniform(0.0, 2.0 * math.pi, n)
+        g = np.asarray(fading(rng, n), dtype=float)
+        d2 = radii**2 + y0**2 - 2.0 * radii * y0 * np.cos(angles)
+        interference[i] = np.sum(g / (c + d2 ** (alpha / 2.0)))
+    outage = (None, None)
+    if want_outage:
+        g0 = np.asarray(fading(rng, sim_cfg.trials), dtype=float)
+        gain_inv = c + link.d**alpha
+        outage = mcsim._frequency(g0 < link.beta * (1.0 / link.eta + interference * gain_inv))
+    tail = mcsim._per_key(z_grid, lambda z: mcsim._frequency(interference >= z))
+    laplace = mcsim._per_key(s_grid, lambda s: mcsim._estimate(np.exp(-s * interference)))
+    return ip.SimOutcome(*mcsim._estimate(interference), *tail, *outage, *laplace, bias,
+                         sim_cfg.trials, radius)
+
+
+_GAMMA_FADING = ip.FadingLaw.custom(lambda rng, n: rng.gamma(2.0, 0.5, n))
+
+
+class TestBlockEvaluation:
+    """The guide-table inverse and the block evaluation change no bit of any
+    outcome: ``simulate`` equals the per-trial loop with ``np.interp``."""
+
+    @pytest.mark.parametrize("shape, channel, link, cfg, requests", [
+        (ip.scenario_finite_network(500.0, 800.0), rayleigh_channel(2, 1.0),
+         ip.LinkConfig(1e-3, 600.0, 10.0, 0.5, math.inf), ip.SimConfig(301, 5),
+         {"want_outage": True}),
+        (ip.scenario_finite_network(500.0, 800.0), rayleigh_channel(4, 1.0),
+         ip.LinkConfig(1e-3, 400.0, 10.0, 0.5, 10.0), ip.SimConfig(257, 6),
+         {"want_outage": True, "z_grid": [1e-4, 1e-3]}),
+        (ip.scenario_scattered(100.0), rayleigh_channel(2, 1.0),
+         ip.LinkConfig(1e-3, 50.0, 10.0, 0.5, math.inf), ip.SimConfig(1999, 655183525),
+         {"z_grid": [0.01, 0.05], "s_grid": [1.0, 20.0]}),
+        (ip.scenario_scattered(1.0), rayleigh_channel(4, 1.0),  # mostly empty trials
+         ip.LinkConfig(1e-3, 3.0, 10.0, 0.5, math.inf), ip.SimConfig(3001, 7),
+         {"want_outage": True, "z_grid": [1e-3]}),
+        (ip.scenario_scattered(100.0), unit_channel(3, 1.0),
+         ip.LinkConfig(1e-3, 20.0, 10.0, 0.5, math.inf), ip.SimConfig(1001, 8),
+         {"s_grid": [0.5]}),
+        (ip.scenario_carrier_sense(1e-5, 4.0),
+         ip.ChannelModel(alpha=4, c=1.0, fading=_GAMMA_FADING),
+         ip.LinkConfig(1e-2, 15.0, 10.0, 0.5, math.inf), ip.SimConfig(777, 9),
+         {"want_outage": True}),
+        (ip.power_tail_shape(1.5, 1.0), rayleigh_channel(2, 1.0),
+         ip.LinkConfig(1.0, 0.0, 10.0, 0.5, math.inf),
+         ip.SimConfig(203, 101, max_radius_override=1e3), {}),
+        (ip.constant_shape(1.0),  # about 7,000 points a trial, more than a block
+         ip.ChannelModel(alpha=4, c=1.0, fading=ip.FadingLaw.custom(lambda rng, n: 1.0)),
+         ip.LinkConfig(0.1, 5.0, 10.0, 0.5, math.inf),
+         ip.SimConfig(5, 10, max_radius_override=150.0), {"want_outage": True}),
+    ], ids=["fig3-a2", "fig3-a4", "C100", "C1", "C100-unit-a3", "D-gamma", "powerTail-override",
+            "constant-scalar-fading"])
+    def test_outcome_equals_per_trial_loop(self, shape, channel, link, cfg, requests):
+        assert ip.simulate(shape, channel, link, cfg, **requests) == _per_trial_simulate(
+            shape, channel, link, cfg, **requests)
+
+    @pytest.mark.parametrize("shape", [
+        *(_SCENARIOS[name](**SCENARIO_PARAMS[name]) for name in sorted(SCENARIO_PARAMS)),
+        # a subnormal CDF step near 0 overflows a slope: every cell falls back
+        ip.scenario_carrier_sense(1e-5, 80.0),
+    ], ids=[*sorted(SCENARIO_PARAMS), "D-alpha80"])
+    def test_inverse_equals_interp(self, shape):
+        sampler = ip.PointProcessSampler(shape, 1e-6, shape.support_end or 20.0 * shape.scale)
+        cum, grid = sampler._cum, sampler._grid
+        u = np.random.default_rng(12).random(10**6)
+        knots = cum[:-1]
+        # the knots, and the doubles on either side of each
+        near = np.concatenate([knots, np.nextafter(knots, 1.0), np.nextafter(cum[1:], 0.0)])
+        # draws inside the cells that fall back to np.interp
+        cells = np.flatnonzero(sampler._crowded)
+        assert cells.size > 0
+        crowded = (cells + np.random.default_rng(13).random(cells.size)) / sampler._GUIDE_CELLS
+        for x in (u, near, crowded):
+            assert np.array_equal(sampler._inverse(x), np.interp(x, cum, grid))
+
+    def test_sample_keeps_its_stream(self):
+        sampler = ip.PointProcessSampler(ip.scenario_finite_network(500.0, 800.0), 1e-3, 800.0)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(5):
+            radii, angles = sampler.sample(rng)
+            n = ref.poisson(sampler.mean_count)
+            assert np.array_equal(radii, np.interp(ref.random(n), sampler._cum, sampler._grid))
+            assert np.array_equal(angles, ref.uniform(0.0, 2.0 * math.pi, n))
