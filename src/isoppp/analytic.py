@@ -46,7 +46,8 @@ class FadingLaw:
     """Power fading distribution with unit mean.
 
     ``sampler(rng, n)`` draws n coefficients; ``tail(x)`` is P(g >= x),
-    needed by the dominant-interferer bound (vectorised in x).
+    needed by the dominant-interferer bound and used by ``simulate`` for
+    its conditional outage estimate (vectorised in x).
     """
 
     kind: str
@@ -73,8 +74,10 @@ class FadingLaw:
 
     @classmethod
     def custom(cls, sampler: Callable, tail: Callable | None = None) -> "FadingLaw":
-        """User-supplied unit-mean fading; ``tail`` is optional and only
-        required by the tail-probability bounds."""
+        """User-supplied unit-mean fading.  ``tail`` is optional: the
+        tail-probability bounds require it, and when given, ``simulate``
+        estimates the outage from it instead of drawing coins from
+        ``sampler``, so it must describe the same law as ``sampler``."""
         return cls(kind="custom", sampler=sampler, tail=tail)
 
 

@@ -9,10 +9,17 @@ table knot through a guide table and returns exactly what ``np.interp``
 returns; path loss and per-trial sums are evaluated over blocks of trials,
 after the block's random draws.
 
+The outage is estimated by conditional Monte-Carlo whenever the fading
+law has a ``tail``: the sample mean of P(g0 < x | I) = 1 - tail(x), where
+x = beta (noise + I) / ell(d) is the trial's threshold on the reference
+gain g0.  It has the mean of the coin g0 < x and never a larger variance.
+A law without a tail flips that coin, one a trial.
+
 Reproducibility contract: one run draws every trial, in order, from one
-generator seeded by ``seed``, and then the outage coins of all trials, so a
-fixed (seed, trials, config) gives a bit-identical outcome.  The guide and
-block sizes do not enter it: the outcome is the same at any size.
+generator seeded by ``seed``, and then, only for a fading law without a
+tail, the outage coins of all trials, so a fixed (seed, trials, config)
+gives a bit-identical outcome.  The guide and block sizes do not enter
+it: the outcome is the same at any size.
 The sampling disc is the smallest doubling radius whose neglected mean is
 at most 1e-3 of the mean interference (``SimConfig.max_radius_override``
 sets it directly instead).  Truncation is never silent: the neglected-mean
@@ -67,6 +74,9 @@ class SimOutcome:
 
     ``truncation_bias_bound`` bounds the mean interference neglected outside
     the sampling disc (same units as ``mean``); frequencies are in [0, 1].
+    ``outage_freq`` estimates the outage probability: the mean of its
+    conditional probability given the interference when the fading law has
+    a tail, else the coin frequency.
     """
 
     mean: float
@@ -325,7 +335,7 @@ def simulate(
 
     Always estimates the mean interference; pass ``z_grid`` for tail
     frequencies P(I >= z), ``s_grid`` for Laplace estimates E[exp(-s I)],
-    and ``want_outage`` for the outage frequency of the reference link.
+    and ``want_outage`` for the outage probability of the reference link.
     """
     alpha, c = channel.alpha, channel.c
     y0 = link.y0_norm
@@ -371,9 +381,13 @@ def simulate(
 
     outage = (None, None)
     if want_outage:
-        # drawn after every trial, so requesting outage leaves the interference unchanged
-        g0 = np.asarray(fading_sampler(rng, trials), dtype=float)
-        outage = _frequency(g0 < link.beta * (noise + interference * gain_inv))
+        x = link.beta * (noise + interference * gain_inv)
+        if channel.fading.tail is not None:
+            # conditional Monte-Carlo: average P(g0 < x | I) instead of a coin
+            outage = _estimate(1.0 - np.asarray(channel.fading.tail(x), dtype=float))
+        else:
+            # drawn after every trial, so requesting outage leaves the interference unchanged
+            outage = _frequency(np.asarray(fading_sampler(rng, trials), dtype=float) < x)
     tail = _per_key(z_grid, lambda z: _frequency(interference >= z))
     laplace = _per_key(s_grid, lambda s: _estimate(np.exp(-s * interference)))
     return SimOutcome(*_estimate(interference), *tail, *outage, *laplace, bias, trials, radius)
@@ -386,9 +400,10 @@ def _estimate(x: np.ndarray) -> tuple[float, float]:
 
 
 def _frequency(hits: np.ndarray) -> tuple[float, float]:
-    """Hit frequency and its 95% binomial (normal-approximation) half-width."""
+    """Hit frequency and its 95% binomial (normal-approximation) half-width
+    (inf for one sample)."""
     p = float(np.mean(hits))
-    return p, _Z95 * math.sqrt(p * (1.0 - p) / hits.size)
+    return p, _Z95 * math.sqrt(p * (1.0 - p) / hits.size) if hits.size > 1 else math.inf
 
 
 def _per_key(grid, stat) -> tuple[dict | None, dict | None]:

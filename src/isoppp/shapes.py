@@ -35,6 +35,8 @@ class TailKind(Enum):
 
 
 _PARAMETRISED = (TailKind.COMPACT_SUPPORT, TailKind.POWER_DECAY, TailKind.EXPONENTIAL_DECAY)
+# a built shape's F is probed at scale 2^k for k = -20 ... 40, and at its knots
+_PROBE_OCTAVES = 2.0 ** np.arange(-20, 41)
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,9 @@ class ShapeFunction:
     """Immutable radial density profile.
 
     ``eval_f`` and ``eval_deriv`` accept scalars or numpy arrays of radii.
+    Construction checks that F is finite and in [0, 1] at 0, at the knots
+    and at ``scale 2^k`` for k = -20 ... 40, and raises
+    InvalidScenarioParams naming the first radius where it is not.
     ``knots`` lists the radii where higher derivatives jump; quadrature
     always splits there.  ``scale`` is the characteristic radius used to
     place quadrature knees and finite-difference grids.
@@ -103,6 +108,17 @@ class ShapeFunction:
             raise InvalidScenarioParams(f"scale must be positive and finite, got {self.scale}")
         if not 0.0 <= self.f_zero <= 1.0:
             raise InvalidScenarioParams(f"F(0) must lie in [0, 1], got {self.f_zero}")
+        # a density fraction that is negative, above 1 or not finite would
+        # turn into a negative mean or an invalid probability later
+        with np.errstate(all="ignore"):
+            radii = np.concatenate((self.knots, self.scale * _PROBE_OCTAVES))
+            values = np.asarray(self.eval_f(radii), dtype=float)
+        # a probe radius that overflowed (scale above 1e296) is skipped
+        bad = np.isfinite(radii) & ~((values >= 0.0) & (values <= 1.0))
+        if bad.any():
+            k = np.flatnonzero(bad)[np.argmin(radii[bad])]
+            raise InvalidScenarioParams(f"F must be finite and lie in [0, 1], got "
+                                        f"F({radii[k]:g}) = {values[k]:g}")
 
     @property
     def f_zero(self) -> float:

@@ -231,6 +231,19 @@ class TestSimulate:
         slack = link.beta * (ch.c + link.d**2) * out.truncation_bias_bound
         assert abs(out.outage_freq - target) <= 3.0 * sigma + slack
 
+    @pytest.mark.parametrize("alpha, y0, seed", [(4, 850.0, 41), (4, 900.0, 42), (4, 1000.0, 43),
+                                                 (2, 1500.0, 44)])
+    def test_outage_beyond_network_edge(self, fig3_shape, alpha, y0, seed):
+        # outages of 2e-5 to 1e-4 (alpha 4), which 4,000 coins could not resolve
+        ch = rayleigh_channel(alpha, 1.0)
+        link = ip.LinkConfig(1e-3, y0, 10.0, 0.5, math.inf)
+        out = ip.simulate(fig3_shape, ch, link, ip.SimConfig(4000, seed), want_outage=True)
+        target = ip.outage_exact(fig3_shape, ch, link)
+        sigma = out.outage_half_width95 / 1.96
+        slack = link.beta * (ch.c + link.d**alpha) * out.truncation_bias_bound
+        assert abs(out.outage_freq - target) <= 3.0 * sigma + slack
+        assert out.outage_half_width95 <= 0.05 * out.outage_freq
+
     def test_unit_fading_supported(self, scattered100):
         ch = unit_channel(2, 1.0)
         link = ip.LinkConfig(1e-3, 0.0, 10.0, 0.5, math.inf)
@@ -278,13 +291,16 @@ class TestReproducibility:
         assert made == [(3,)]
 
     def test_interference_stream_independent_of_requests(self, scattered100):
-        # the outage coin g0 is drawn after the field, so requesting outage
-        # must not change the interference statistics
+        # the outage needs no draw before the field is complete, so
+        # requesting it must change no other statistic
         ch = rayleigh_channel(2, 1.0)
         link = ip.LinkConfig(1e-3, 10.0, 10.0, 0.5, math.inf)
-        plain = ip.simulate(scattered100, ch, link, ip.SimConfig(500, 7))
-        with_outage = ip.simulate(scattered100, ch, link, ip.SimConfig(500, 7), want_outage=True)
+        grids = {"z_grid": [0.01, 0.1], "s_grid": [1.0]}
+        plain = ip.simulate(scattered100, ch, link, ip.SimConfig(500, 7), **grids)
+        with_outage = ip.simulate(scattered100, ch, link, ip.SimConfig(500, 7), want_outage=True,
+                                  **grids)
         assert plain.mean == with_outage.mean
+        assert dataclasses.replace(with_outage, outage_freq=None, outage_half_width95=None) == plain
 
 
 @pytest.mark.slow
@@ -333,6 +349,18 @@ def test_truncated_mean_takes_overflow_as_its_limit():
     assert 0.0 <= value < math.inf
 
 
+@pytest.mark.parametrize("fading", [ip.FadingLaw.rayleigh(),
+                                    ip.FadingLaw.custom(lambda rng, n: rng.exponential(1.0, n))],
+                         ids=["conditional", "coin"])
+def test_one_trial_has_infinite_half_widths(scattered100, fading):
+    out = ip.simulate(scattered100, ip.ChannelModel(2, 1.0, fading),
+                      ip.LinkConfig(1e-3, 10.0, 10.0, 0.5, math.inf), ip.SimConfig(1, 3),
+                      z_grid=[1e-3], s_grid=[1.0], want_outage=True)
+    assert out.mean_half_width95 == out.outage_half_width95 == math.inf
+    assert out.tail_half_width95 == {1e-3: math.inf}
+    assert out.laplace_half_width95 == {1.0: math.inf}
+
+
 def test_sim_config_radius_override_is_keyword_only():
     # a third positional argument is refused, never taken as a radius
     with pytest.raises(TypeError):
@@ -343,8 +371,10 @@ def test_sim_config_radius_override_is_keyword_only():
 def _per_trial_simulate(shape, channel, link, sim_cfg, *, z_grid=None, s_grid=None,
                         want_outage=False):
     """``simulate`` as one loop over trials: each trial is sampled on its own
-    and inverted with ``np.interp`` on the sampler's table, its path loss
-    summed with ``np.sum``, and the outage coins drawn after every trial."""
+    and inverted with ``np.interp`` on the sampler's table, and its path loss
+    summed with ``np.sum``.  The outage is the mean of 1 - tail(x) for a
+    fading law with a tail, else the frequency of coins drawn after every
+    trial."""
     alpha, c, y0, lam = channel.alpha, channel.c, link.y0_norm, link.lambda_scale
     fading = channel.fading.sampler
     if sim_cfg.max_radius_override is not None:
@@ -365,9 +395,11 @@ def _per_trial_simulate(shape, channel, link, sim_cfg, *, z_grid=None, s_grid=No
         interference[i] = np.sum(g / (c + d2 ** (alpha / 2.0)))
     outage = (None, None)
     if want_outage:
-        g0 = np.asarray(fading(rng, sim_cfg.trials), dtype=float)
-        gain_inv = c + link.d**alpha
-        outage = mcsim._frequency(g0 < link.beta * (1.0 / link.eta + interference * gain_inv))
+        x = link.beta * (1.0 / link.eta + interference * (c + link.d**alpha))
+        if channel.fading.tail is not None:
+            outage = mcsim._estimate(1.0 - np.asarray(channel.fading.tail(x), dtype=float))
+        else:
+            outage = mcsim._frequency(np.asarray(fading(rng, sim_cfg.trials), dtype=float) < x)
     tail = mcsim._per_key(z_grid, lambda z: mcsim._frequency(interference >= z))
     laplace = mcsim._per_key(s_grid, lambda s: mcsim._estimate(np.exp(-s * interference)))
     return ip.SimOutcome(*mcsim._estimate(interference), *tail, *outage, *laplace, bias,
@@ -432,6 +464,22 @@ class TestBlockEvaluation:
         crowded = (cells + np.random.default_rng(13).random(cells.size)) / sampler._GUIDE_CELLS
         for x in (u, near, crowded):
             assert np.array_equal(sampler._inverse(x), np.interp(x, cum, grid))
+
+    def test_unit_outage_is_the_coin_frequency(self, scattered100):
+        # under unit fading 1 - tail(x) is the coin g0 = 1 < x itself; a copy
+        # of the law without its tail takes the coin path on the same stream
+        unit = ip.FadingLaw.unit()
+        link = ip.LinkConfig(1e-3, 10.0, 10.0, 0.5, 10.0)
+        cfg = ip.SimConfig(2000, 12)
+        cond, coin = (ip.simulate(scattered100, ip.ChannelModel(2, 1.0, law), link, cfg,
+                                  want_outage=True)
+                      for law in (unit, ip.FadingLaw.custom(unit.sampler)))
+        assert 0.0 < cond.outage_freq < 1.0
+        assert cond.outage_freq == coin.outage_freq
+        assert cond.outage_half_width95 == pytest.approx(
+            coin.outage_half_width95 * math.sqrt(2000 / 1999), rel=1e-12)
+        assert dataclasses.replace(cond, outage_half_width95=None) == dataclasses.replace(
+            coin, outage_half_width95=None)
 
     def test_sample_keeps_its_stream(self):
         sampler = ip.PointProcessSampler(ip.scenario_finite_network(500.0, 800.0), 1e-3, 800.0)

@@ -267,3 +267,25 @@ class TestDescriptor:
     def test_unknown_params(self):
         with pytest.raises(ip.InvalidScenarioParams):
             ip.from_descriptor({"scenario": "C", "params": {"rho": 1, "junk": 2}})
+
+
+def _hand_built(f):
+    return ip.ShapeFunction(eval_f=lambda r: f(np.asarray(r, dtype=float)),
+                            eval_deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+                            tail=ip.TailClass(TailKind.EXPONENTIAL_DECAY, 0.02), scale=50.0)
+
+
+@pytest.mark.parametrize("f, bad", [
+    (lambda r: np.cos(r / 10.0) * np.exp(-r / 50.0), r"F\(25\) = -0.4859"),
+    (lambda r: 0.5 + 0.6 * np.sin(r / 20.0), r"F\(25\) = 1.069"),
+    (lambda r: np.where(r < 1e3, np.exp(-r / 50.0), np.nan), r"F\(1600\) = nan"),
+], ids=["negative", "above-one", "nan"])
+def test_hand_built_profile_checked_beyond_origin(f, bad):
+    # F(0) is in [0, 1]; the probe names the first scale 2^k radius where F is not
+    with pytest.raises(ip.InvalidScenarioParams, match=bad):
+        _hand_built(f)
+
+
+def test_hand_built_profile_keeps_the_origin_message():
+    with pytest.raises(ip.InvalidScenarioParams, match=r"F\(0\) must lie in \[0, 1\]"):
+        _hand_built(lambda r: 2.0 * np.exp(-r / 50.0))
