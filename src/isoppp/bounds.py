@@ -5,9 +5,10 @@ bound: the dominant-interferer construction, valid wherever the intensity is
 subharmonic; a single node inside the largest disc around the receiver that
 fits in the subharmonic region already pushes the interference past the
 threshold with the stated probability.  The radial Laplacian of F is
-(r f(r))' / r with f = F', so F is subharmonic exactly where the
-dimensionless r f(r) is nondecreasing, (r f)' >= 0; that test does not
-depend on the unit of length.
+(r F')' / r, and with r = e^t, (r F')' = (1/r) d^2 F(e^t) / dt^2.  So F is
+subharmonic exactly where F(e^t) is convex in t, equivalently where the
+dimensionless r F'(r) is nondecreasing; second differences of F decide it,
+with no derivative, and the test does not depend on the unit of length.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ from .errors import DomainError, OutsideRegion, _check_nonnegative, _check_posit
 from .numerics import _converged, integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
-# r f(r) may fall by at most this much across a grid cell (it is dimensionless)
+# r F'(r) may fall by at most this much across two grid cells (half across one)
 _RF_DROP = 1e-12
 _PROBE_DOUBLINGS = 20
+# log step of the probe radii's second differences; a linear step there
+# (up to 5e8 times smaller than r) would lose the difference to rounding
+_LOG_STEP = 2.0**-8
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -43,18 +48,14 @@ class RadialRegion:
             prev_hi = hi
 
 
-def _rf(shape: ShapeFunction, r: np.ndarray) -> np.ndarray:
-    """r f(r), taken as its limit 0 at r = 0, where f itself may be infinite
-    (F ~ r^a with a < 1); f is evaluated only at r > 0."""
-    rf = np.zeros_like(r)
-    inside = r > 0.0
-    rf[inside] = r[inside] * np.asarray(shape.eval_deriv(r[inside]), dtype=float)
-    return rf
-
-
-def _rf_nondecreasing(shape: ShapeFunction, r: np.ndarray, h: float) -> np.ndarray:
-    """Whether r f(r) falls by at most the drop tolerance from r - h to r + h."""
-    return _rf(shape, r + h) - _rf(shape, r - h) >= -_RF_DROP
+def _convex_in_log_r(shape: ShapeFunction, r: np.ndarray) -> np.ndarray:
+    """Whether F(r e^t) is convex in t at t = 0: with d the log step,
+    (F(r e^d) - 2 F(r) + F(r e^-d)) / d is about the rise of r F' across the
+    step.  It may fall by half the drop tolerance, plus the rounding of F
+    (at most 1) in the difference."""
+    lower, mid, upper = (np.asarray(shape.eval_f(r * math.exp(k * _LOG_STEP)), dtype=float)
+                         for k in (-1, 0, 1))
+    return (upper - 2.0 * mid + lower) / _LOG_STEP >= -(0.5 * _RF_DROP + 4.0 * _EPS / _LOG_STEP)
 
 
 def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
@@ -74,8 +75,14 @@ def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
         raise DomainError("grid too coarse for the requested radius range")
     if n > 2 * 10**6:
         raise DomainError("grid too fine for the requested radius range")
-    grid = grid_step * np.arange(1, n + 1)
-    ok = _rf_nondecreasing(shape, grid, grid_step)
+    h = grid_step
+    grid = h * np.arange(1, n + 1)
+    # the rise of r F' across the cell [r - h/2, r + h/2], from F at the
+    # grid points r - h, r and r + h; F (at most 1) rounds in each difference
+    values = np.asarray(shape.eval_f(h * np.arange(n + 2)), dtype=float)
+    lower, mid, upper = values[:-2], values[1:-1], values[2:]
+    rise = ((grid + 0.5 * h) * (upper - mid) - (grid - 0.5 * h) * (mid - lower)) / h
+    ok = rise >= -(0.5 * _RF_DROP + 4.0 * _EPS * (grid + h) / h)
     for knot in shape.knots:
         ok &= np.abs(grid - knot) > grid_step * (1.0 + 1e-9)
 
@@ -91,7 +98,7 @@ def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
         lo = 0.0 if start == 0 else float(grid[start])
         hi = float(grid[-1])
         probe = grid[-1] * 2.0 ** np.arange(1, _PROBE_DOUBLINGS + 1)
-        if np.all(_rf_nondecreasing(shape, probe, grid_step)):
+        if np.all(_convex_in_log_r(shape, probe)):
             hi = math.inf
         intervals.append((lo, hi))
     return RadialRegion(intervals=tuple(intervals))

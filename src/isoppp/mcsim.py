@@ -33,8 +33,10 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .analytic import ChannelModel, LinkConfig, _mean_finite, _threshold, interference_driving
-from .errors import DomainError, NoFiniteTruncation, _check_positive
+from .analytic import (ChannelModel, LinkConfig, _doublings, _mean_finite, _threshold,
+                       interference_driving)
+from .errors import (DomainError, NoFiniteTruncation, _check_finite, _check_nonnegative,
+                     _check_positive)
 from .numerics import _converged, integrate_interval, integrate_semi_infinite
 from .shapes import ShapeFunction
 
@@ -228,8 +230,11 @@ class PointProcessSampler:
             return r * np.asarray(shape.eval_f(r), dtype=float)
 
         self._radial_mass = radial_mass
+        # split at scale 2^k too, so a disc far wider than the shape keeps
+        # quadrature nodes where r F(r) lives
+        self._knots = (*shape.knots, *_doublings(shape.scale, r_eff))
         mass = _converged(
-            integrate_interval(radial_mass, 0.0, r_eff, 1e-12, knots=shape.knots), "sampler mass"
+            integrate_interval(radial_mass, 0.0, r_eff, 1e-12, knots=self._knots), "sampler mass"
         )
         if not 0.0 < mass < math.inf:
             raise DomainError(f"quadrature of r F(r) over [0, {r_eff:g}] gives a mass of {mass:g}; "
@@ -301,7 +306,7 @@ class PointProcessSampler:
         masses = np.array(
             [
                 _converged(integrate_interval(self._radial_mass, lo, hi, 1e-10,
-                                              knots=self.shape.knots), "bin-mass")
+                                              knots=self._knots), "bin-mass")
                 for lo, hi in zip(edges[:-1], edges[1:])
             ]
         )
@@ -336,7 +341,13 @@ def simulate(
     Always estimates the mean interference; pass ``z_grid`` for tail
     frequencies P(I >= z), ``s_grid`` for Laplace estimates E[exp(-s I)],
     and ``want_outage`` for the outage probability of the reference link.
+    Each level z must be finite and each transform variable s nonnegative
+    and finite.
     """
+    for z in z_grid if z_grid is not None else ():
+        _check_finite(z=float(z))
+    for s in s_grid if s_grid is not None else ():
+        _check_nonnegative(s=float(s))
     alpha, c = channel.alpha, channel.c
     y0 = link.y0_norm
     lam = link.lambda_scale

@@ -2,10 +2,10 @@
 
 A deployment is described by a shape function ``F(r)`` mapping distance to
 the network centre onto a density fraction in [0, 1]; the actual intensity
-is ``lambda_scale * F(r)``.  Every shape carries its analytic derivative
-``f(r) = dF/dr``, a tail classification used by the finiteness and
-divergence checks, and the knot radii where smoothness breaks (quadrature
-split points).
+is ``lambda_scale * F(r)``.  A shape carries F and no derivative (the
+subharmonic test reads second differences of F), a tail classification used
+by the finiteness and divergence checks, and the knot radii where
+smoothness breaks (quadrature split points).
 
 Catalogued scenarios are registered by name: every parameter must be
 positive and finite, and each built shape carries the descriptor
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -70,38 +70,27 @@ def _radial(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return call
 
 
-def _derivative(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """``_radial`` for a derivative.  At extreme parameters its factors over-
-    or underflow; an inf * 0 product there stands for the limit 0."""
-
-    def guarded(r):
-        with np.errstate(all="ignore"):
-            out = fn(r)
-        return np.where(np.isnan(out), 0.0, out)
-
-    guarded.__name__ = fn.__name__
-    return _radial(guarded)
-
-
 @dataclass(frozen=True)
 class ShapeFunction:
     """Immutable radial density profile.
 
-    ``eval_f`` and ``eval_deriv`` accept scalars or numpy arrays of radii.
-    Construction checks that F is finite and in [0, 1] at 0, at the knots
-    and at ``scale 2^k`` for k = -20 ... 40, and raises
-    InvalidScenarioParams naming the first radius where it is not.
+    ``eval_f`` accepts scalars or numpy arrays of radii.  Construction
+    checks that F is finite and in [0, 1] at 0, at the knots and at
+    ``scale 2^k`` for k = -20 ... 40, and raises InvalidScenarioParams
+    naming the first radius where it is not.
     ``knots`` lists the radii where higher derivatives jump; quadrature
     always splits there.  ``scale`` is the characteristic radius used to
     place quadrature knees and finite-difference grids.
     """
 
     eval_f: Callable
-    eval_deriv: Callable
     tail: TailClass
     knots: tuple[float, ...] = ()
     scale: float = 1.0
     descriptor: dict | None = field(default=None, compare=False)
+    # read by nothing in the package; kept only because the benchmark's
+    # tracer still replaces it (ROADMAP item 7 deletes it)
+    eval_deriv: Callable | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if not 0.0 < self.scale < math.inf:
@@ -139,7 +128,9 @@ _SCENARIOS: dict[str, Callable[..., ShapeFunction]] = {}
 def _scenario(name: str):
     """Register a catalogued builder under ``name``.  Each call binds its
     arguments with their defaults, rejects any that is not positive and
-    finite, and records them as the built shape's descriptor."""
+    finite, and makes the one ShapeFunction from the parts the builder
+    returns: an array-native ``profile`` and the tail, knots and scale,
+    with the arguments recorded as the descriptor."""
 
     def register(build):
         signature = inspect.signature(build)
@@ -152,8 +143,9 @@ def _scenario(name: str):
                 if not 0.0 < value < math.inf:
                     raise InvalidScenarioParams(f"scenario {name}: {param} must be "
                                                 f"positive and finite, got {value}")
-            descriptor = {"scenario": name, "params": dict(bound.arguments)}
-            return replace(build(**bound.arguments), descriptor=descriptor)
+            parts = build(**bound.arguments)
+            return ShapeFunction(eval_f=_radial(parts.pop("profile")), **parts,
+                                 descriptor={"scenario": name, "params": dict(bound.arguments)})
 
         _SCENARIOS[name] = checked
         return checked
@@ -161,7 +153,7 @@ def _scenario(name: str):
     return register
 
 
-def _plateau_pair(r0: float, r1: float):
+def _plateau(r0: float, r1: float):
     """Raised-cosine plateau: 1 on [0, r0], rolls off to 0 at r1."""
     width = r1 - r0
 
@@ -169,14 +161,7 @@ def _plateau_pair(r0: float, r1: float):
         t = np.clip((r - r0) / width, 0.0, 1.0)
         return 0.5 * (1.0 + np.cos(np.pi * t))
 
-    def f_deriv(r):
-        out = np.zeros_like(r)
-        inside = (r > r0) & (r < r1)
-        t = (r[inside] - r0) / width
-        out[inside] = -0.5 * np.pi / width * np.sin(np.pi * t)
-        return out
-
-    return f_eval, f_deriv
+    return f_eval
 
 
 @_scenario("A")
@@ -185,14 +170,8 @@ def scenario_finite_network(r0: float, r1: float) -> ShapeFunction:
     zero at ``r1`` (finite network with a soft boundary)."""
     if r0 >= r1:
         raise InvalidScenarioParams(f"need r0 < r1, got r0={r0}, r1={r1}")
-    f_eval, f_deriv = _plateau_pair(r0, r1)
-    return ShapeFunction(
-        eval_f=_radial(f_eval),
-        eval_deriv=_derivative(f_deriv),
-        tail=TailClass(TailKind.COMPACT_SUPPORT, float(r1)),
-        knots=(r0, r1),
-        scale=r1,
-    )
+    return dict(profile=_plateau(r0, r1), tail=TailClass(TailKind.COMPACT_SUPPORT, float(r1)),
+                knots=(r0, r1), scale=r1)
 
 
 @_scenario("B")
@@ -211,23 +190,14 @@ def scenario_urban_hotspot(
     if hot_level + base_level > 1.0 + 1e-12:
         raise InvalidScenarioParams("hotspot plus base level must not exceed 1")
 
-    hot_f, hot_d = _plateau_pair(hot_r0, hot_r1)
-    base_f, base_d = _plateau_pair(base_r0, base_r1)
+    hot_f, base_f = _plateau(hot_r0, hot_r1), _plateau(base_r0, base_r1)
 
     def f_eval(r):
         return hot_level * hot_f(r) + base_level * base_f(r)
 
-    def f_deriv(r):
-        return hot_level * hot_d(r) + base_level * base_d(r)
-
     r_end = max(hot_r1, base_r1)
-    return ShapeFunction(
-        eval_f=_radial(f_eval),
-        eval_deriv=_derivative(f_deriv),
-        tail=TailClass(TailKind.COMPACT_SUPPORT, float(r_end)),
-        knots=tuple(sorted({hot_r0, hot_r1, base_r0, base_r1})),
-        scale=r_end,
-    )
+    return dict(profile=f_eval, tail=TailClass(TailKind.COMPACT_SUPPORT, float(r_end)),
+                knots=tuple(sorted({hot_r0, hot_r1, base_r0, base_r1})), scale=r_end)
 
 
 @_scenario("C")
@@ -239,15 +209,8 @@ def scenario_scattered(rho: float) -> ShapeFunction:
         with np.errstate(over="ignore"):  # r / rho = inf gives the limit F = 0
             return np.exp(-r / rho)
 
-    def f_deriv(r):
-        return -np.exp(-r / rho) / rho
-
-    return ShapeFunction(
-        eval_f=_radial(f_eval),
-        eval_deriv=_derivative(f_deriv),
-        tail=TailClass(TailKind.EXPONENTIAL_DECAY, float(1.0 / rho)),
-        scale=rho,
-    )
+    return dict(profile=f_eval, tail=TailClass(TailKind.EXPONENTIAL_DECAY, float(1.0 / rho)),
+                scale=rho)
 
 
 @_scenario("D")
@@ -267,15 +230,7 @@ def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
         with np.errstate(over="ignore"):  # r^alpha = inf gives the limit F = 1
             return -np.expm1(-delta * r**alpha)
 
-    def f_deriv(r):
-        return delta * alpha * r ** (alpha - 1.0) * np.exp(-delta * r**alpha)
-
-    return ShapeFunction(
-        eval_f=_radial(f_eval),
-        eval_deriv=_derivative(f_deriv),
-        tail=TailClass(TailKind.NON_DECAYING),
-        scale=scale,
-    )
+    return dict(profile=f_eval, tail=TailClass(TailKind.NON_DECAYING), scale=scale)
 
 
 @_scenario("constant")
@@ -287,14 +242,7 @@ def constant_shape(level: float = 1.0) -> ShapeFunction:
     def f_eval(r):
         return np.full_like(r, level)
 
-    def f_deriv(r):
-        return np.zeros_like(r)
-
-    return ShapeFunction(
-        eval_f=_radial(f_eval),
-        eval_deriv=_derivative(f_deriv),
-        tail=TailClass(TailKind.NON_DECAYING),
-    )
+    return dict(profile=f_eval, tail=TailClass(TailKind.NON_DECAYING))
 
 
 @_scenario("powerTail")
@@ -306,16 +254,7 @@ def power_tail_shape(nu: float, r0: float) -> ShapeFunction:
         with np.errstate(over="ignore"):  # (r/r0)^2 = inf gives the limit F = 0
             return (1.0 + (r / r0) ** 2) ** (-nu / 2.0)
 
-    def f_deriv(r):
-        # a numpy r0^2 overflows to inf where a Python float raises
-        return -nu * (r / np.float64(r0) ** 2) * (1.0 + (r / r0) ** 2) ** (-nu / 2.0 - 1.0)
-
-    return ShapeFunction(
-        eval_f=_radial(f_eval),
-        eval_deriv=_derivative(f_deriv),
-        tail=TailClass(TailKind.POWER_DECAY, float(nu)),
-        scale=r0,
-    )
+    return dict(profile=f_eval, tail=TailClass(TailKind.POWER_DECAY, float(nu)), scale=r0)
 
 
 @_scenario("logDecay")
@@ -331,15 +270,7 @@ def log_decay_shape(r0: float = 100.0) -> ShapeFunction:
         with np.errstate(over="ignore"):  # r / r0 = inf gives the limit F = 0
             return 1.0 / (1.0 + np.log1p(r / r0))
 
-    def f_deriv(r):
-        return -1.0 / (r0 * (1.0 + r / r0) * (1.0 + np.log1p(r / r0)) ** 2)
-
-    return ShapeFunction(
-        eval_f=_radial(f_eval),
-        eval_deriv=_derivative(f_deriv),
-        tail=TailClass(TailKind.LOG_DECAY),
-        scale=r0,
-    )
+    return dict(profile=f_eval, tail=TailClass(TailKind.LOG_DECAY), scale=r0)
 
 
 def from_descriptor(descriptor: Mapping) -> ShapeFunction:

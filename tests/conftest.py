@@ -27,6 +27,33 @@ SCENARIO_PARAMS = {
 }
 
 
+def _plateau_slope(r, r0, r1):
+    width = r1 - r0
+    inside = (r > r0) & (r < r1)
+    return np.where(inside, -0.5 * np.pi / width * np.sin(np.pi * (r - r0) / width), 0.0)
+
+
+# closed-form dF/dr of every catalogued scenario, from its parameters; the
+# shapes carry F alone, so these are oracles for their profiles
+_SLOPES = {
+    "A": _plateau_slope,
+    "B": lambda r, hot_level, hot_r0, hot_r1, base_level, base_r0, base_r1: (
+        hot_level * _plateau_slope(r, hot_r0, hot_r1)
+        + base_level * _plateau_slope(r, base_r0, base_r1)),
+    "C": lambda r, rho: -np.exp(-r / rho) / rho,
+    "D": lambda r, delta, alpha: delta * alpha * r ** (alpha - 1.0) * np.exp(-delta * r**alpha),
+    "constant": lambda r, level: np.zeros_like(r),
+    "powerTail": lambda r, nu, r0: -nu * (r / r0**2) * (1.0 + (r / r0) ** 2) ** (-nu / 2.0 - 1.0),
+    "logDecay": lambda r, r0: -1.0 / (r0 * (1.0 + r / r0) * (1.0 + np.log1p(r / r0)) ** 2),
+}
+
+
+def profile_slope(shape, r):
+    """dF/dr of a catalogued shape at r (scalar or array), from its descriptor."""
+    return _SLOPES[shape.descriptor["scenario"]](np.asarray(r, dtype=float),
+                                                 **shape.descriptor["params"])
+
+
 @pytest.fixture(scope="session")
 def fig3_shape():
     """Finite-network shape used throughout the figure-style checks."""

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import isoppp as ip
 from isoppp import applications
-from conftest import rayleigh_channel
+from conftest import profile_slope, rayleigh_channel
 
 
 def _link(lam=1e-3, y0=0.0, d=10.0, beta=1.0):
@@ -103,10 +103,9 @@ class TestFhDsGain:
         # the non-log part of the gain stays bounded by max|f| int log(1 + beta d^2/r^2)
         beta, d = 0.5, 10.0
         s = beta * d * d
-        f = scattered100.eval_deriv
         for m in (4.0, 256.0, 1e4):
             remainder, _ = quad(
-                lambda r: f(r) * math.log((r * r + s) / (r * r + s / m)),
+                lambda r: profile_slope(scattered100, r) * math.log((r * r + s) / (r * r + s / m)),
                 0.0, np.inf, limit=400,
             )
             bound = (1.0 / 100.0) * math.pi * math.sqrt(s)

@@ -5,6 +5,7 @@ before it reports anything; these checks surface that in the test suite.
 """
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,28 @@ C100 = '{"scenario":"C","params":{"rho":100}}'
 MODULES = (analytic, applications, bounds, cli, mcsim, outage, shapes)
 
 
-def test_tracer_records_cli_spans_and_restores_patches(capsys):
+@contextmanager
+def installed_tracer():
+    """An installed tracer; on exit, checks that every patch is undone."""
     before = {m: dict(vars(m)) for m in MODULES}
     default_rng = np.random.default_rng
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+    assert np.random.default_rng is default_rng
+    for module, attrs in before.items():
+        after = vars(module)
+        assert set(after) == set(attrs), module.__name__
+        changed = [name for name, value in attrs.items() if after[name] is not value]
+        assert not changed, f"{module.__name__}: {changed} not restored"
+
+
+def test_tracer_records_cli_spans_and_restores_patches(capsys):
+    default_rng = np.random.default_rng
+    with installed_tracer() as tracer:
         assert cli.shapes is not shapes and np.random.default_rng is not default_rng
         # each command must add its own layer's spans, so a name the CLI
         # bound at import time (and the tracer cannot see) shows here
@@ -44,13 +61,18 @@ def test_tracer_records_cli_spans_and_restores_patches(capsys):
         ):
             assert cli.main(argv) == 0
             assert layers <= set(tracer.names), argv[0]
-    finally:
-        tracer.uninstall()
     capsys.readouterr()
     assert {"analytic.entry", "outage", "applications", "shapes.eval"} <= set(tracer.names)
-    assert np.random.default_rng is default_rng
-    for module, attrs in before.items():
-        after = vars(module)
-        assert set(after) == set(attrs), module.__name__
-        changed = [name for name, value in attrs.items() if after[name] is not value]
-        assert not changed, f"{module.__name__}: {changed} not restored"
+
+
+def test_tracer_records_bounds_spans_and_restores_patches():
+    # the bounds entries hand their shape to the tracer, which copies it
+    # with dataclasses.replace over eval_f and eval_deriv
+    shape = shapes.scenario_scattered(1.0)
+    channel = analytic.ChannelModel(alpha=4, c=1.0, fading=analytic.FadingLaw.rayleigh())
+    with installed_tracer() as tracer:
+        region = bounds.subharmonic_region(shape, 0.002)
+        assert 0.0 < bounds.lower_tail_bound(shape, channel, 5e-2, 3.0, 0.01,
+                                             region=region) < 1.0
+        bounds.lower_tail_bound(shape, channel, 5e-2, 3.0, 0.01)
+    assert {"bounds", "shapes.eval", "numerics.quad"} <= set(tracer.names)

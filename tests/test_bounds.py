@@ -9,6 +9,20 @@ from isoppp.shapes import _SCENARIOS
 from conftest import SCENARIO_PARAMS, rayleigh_channel, unit_channel
 
 
+def _on_scale_grid(shape):
+    return shape, shape.scale / 256.0
+
+
+# shapes and grid steps whose regions are pinned: every catalogued scenario
+# on a grid of scale/256, then other parameters
+PINNED_REGION_SHAPES = {
+    **{name: _on_scale_grid(build(**SCENARIO_PARAMS[name])) for name, build in _SCENARIOS.items()},
+    "fig3@1": (ip.scenario_finite_network(500.0, 800.0), 1.0),
+    "A(50,80)@0.25": (ip.scenario_finite_network(50.0, 80.0), 0.25),
+    "powerTail(0.5,50)": _on_scale_grid(ip.power_tail_shape(0.5, 50.0)),
+}
+
+
 def _unconverged(*args, **kwargs):
     return ip.IntegralResult(value=1.0, abs_error=1.0, converged=False, evaluations=15)
 
@@ -37,11 +51,14 @@ class TestSubharmonicRegion:
     def test_region_in_units_of_the_scale(self, scale):
         # r f(r) has its minimum at r = scale for C and for powerTail(2) and
         # its maximum there for D, so on a grid of scale/256 the regions are
-        # [257/256, inf) and [0, 255/256) scales at every scale
+        # [257/256, inf) and [0, 255/256) scales at every scale; logDecay's
+        # region starts at 203/256 scales
         step = scale / 256.0
         for shape in (ip.scenario_scattered(scale), ip.power_tail_shape(2.0, scale)):
             (lo, hi), = ip.subharmonic_region(shape, step).intervals
             assert lo == pytest.approx(257.0 * step, rel=1e-12) and math.isinf(hi)
+        (lo, hi), = ip.subharmonic_region(ip.log_decay_shape(scale), step).intervals
+        assert lo == pytest.approx(203.0 * step, rel=1e-12) and math.isinf(hi)
         (lo, hi), = ip.subharmonic_region(ip.scenario_carrier_sense(scale**-4.0, 4.0),
                                           step).intervals
         assert lo == 0.0 and hi == pytest.approx(255.0 * step, rel=1e-12)
@@ -52,12 +69,19 @@ class TestSubharmonicRegion:
             ip.subharmonic_region(ip.scenario_scattered(100.0), step)
 
     def test_infinite_derivative_at_origin(self):
-        # D with alpha < 1 has F'(0) = inf; r f(r) is taken as its limit 0
-        # there, so no warning escapes (warnings are errors here) and the
-        # convex rise from the origin is found
+        # D with alpha < 1 has F'(0) = inf; the test reads differences of F
+        # alone, so no warning escapes (warnings are errors here) and the
+        # convex rise from the origin is found, up to r f's maximum at scale
         shape = ip.scenario_carrier_sense(1e-5, 0.5)
-        assert ip.subharmonic_region(shape, shape.scale / 256.0).intervals == (
-            (0.0, shape.scale),)
+        step = shape.scale / 256.0
+        assert ip.subharmonic_region(shape, step).intervals == ((0.0, 255.0 * step),)
+
+    @pytest.mark.parametrize("r0", [1e-300, 1e300])
+    def test_power_tail_region_at_extreme_knee(self, r0):
+        # the same region in units of the scale as at every other knee
+        step = r0 / 256.0
+        assert ip.subharmonic_region(ip.power_tail_shape(2.0, r0), step).intervals == (
+            (257.0 * step, math.inf),)
 
     @pytest.mark.parametrize("scenario, intervals", [
         ("A", ((0.0, 493.75), (665.625, 793.75), (806.25, math.inf))),
@@ -68,10 +92,14 @@ class TestSubharmonicRegion:
         ("constant", ((0.0, math.inf),)),
         ("powerTail", ((50.1953125, math.inf),)),
         ("logDecay", ((79.296875, math.inf),)),
+        ("fig3@1", ((0.0, 498.0), (664.0, 798.0), (802.0, math.inf))),
+        ("A(50,80)@0.25", ((0.0, 49.5), (66.5, 79.5), (80.5, math.inf))),
+        # r f rises from r = 2 r0 on, where the grid of twice the scale ends
+        ("powerTail(0.5,50)", ()),
     ])
     def test_catalogued_regions_pinned(self, scenario, intervals):
-        shape = _SCENARIOS[scenario](**SCENARIO_PARAMS[scenario])
-        assert ip.subharmonic_region(shape, shape.scale / 256.0).intervals == intervals
+        shape, step = PINNED_REGION_SHAPES[scenario]
+        assert ip.subharmonic_region(shape, step).intervals == intervals
 
     def test_criterion7_regions_pinned(self):
         assert ip.subharmonic_region(ip.scenario_scattered(1.0), 0.002).intervals == (

@@ -457,6 +457,16 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err == f"isoppp: configuration error: {message}\n"
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--what", "tail", "--z", "nan"], "z must be finite, got nan"),
+        (["--what", "laplace", "--s", "-5"], "s must be nonnegative, got -5.0"),
+        (["--what", "laplace", "--s", "nan"], "s must be finite, got nan"),
+    ])
+    def test_bad_level_or_transform_variable_is_config_error(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "simulate", *self.SIM_ARGS, *grid)
+        assert (code, out) == (2, "")
+        assert err == f"isoppp: configuration error: {message}\n"
+
     def test_missing_grid_outranks_divergent_regime(self, capsys):
         # the grid is checked first, so the divergent disc (exit 4) is never built
         code, _, err = run_cli(capsys, "simulate", "--shape", "constant", "--alpha", "2",

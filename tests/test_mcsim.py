@@ -154,7 +154,7 @@ class TestPointProcessSampler:
             ip.PointProcessSampler(ip.scenario_scattered(100.0), lam, radius)
 
     @pytest.mark.parametrize("shape, radius", [
-        (ip.scenario_scattered(100.0), 1e8),  # the quadrature misses the mass near 0
+        (ip.scenario_scattered(1e-300), 1e8),  # split at scale 2^k, the mass still underflows
         (ip.scenario_scattered(100.0), 1e-300),
         (ip.scenario_scattered(1e-300), 100.0),
         (ip.power_tail_shape(1e300, 50.0), 100.0),
@@ -163,6 +163,12 @@ class TestPointProcessSampler:
     def test_massless_disc_is_domain_error(self, shape, radius):
         with pytest.raises(ip.DomainError, match="mass of 0"):
             ip.PointProcessSampler(shape, 1e-3, radius)
+
+    def test_wide_disc_keeps_its_mass(self):
+        # 1e6 scales wide: the quadratures split at scale 2^k, so their nodes
+        # still find r F(r) = r exp(-r/100), of mass 100^2, near the origin
+        sampler = ip.PointProcessSampler(ip.scenario_scattered(100.0), 1e-3, 1e8)
+        assert sampler.mean_count == pytest.approx(2.0 * math.pi * 1e-3 * 1e4, rel=1e-12)
 
     @pytest.mark.parametrize("shape, radius", [(ip.constant_shape(), 1e6),
                                                (ip.scenario_carrier_sense(1e-300, 4.0), 1e76)])
@@ -330,6 +336,25 @@ def test_sparse_dense_witness():
     out4 = ip.simulate(shape, ch, link, ip.SimConfig(trials, 202, max_radius_override=1e4))
     sigma_diff = math.hypot(out3.mean_half_width95, out4.mean_half_width95) / 1.96
     assert abs(out4.mean - out3.mean) <= 0.01 * out4.mean + 3.0 * sigma_diff
+
+
+@pytest.mark.parametrize("grids, message", [
+    ({"z_grid": [0.01, math.nan]}, "z must be finite, got nan"),
+    ({"z_grid": [math.inf]}, "z must be finite, got inf"),
+    ({"s_grid": [0.5, -5.0]}, "s must be nonnegative, got -5.0"),
+    ({"s_grid": [math.nan]}, "s must be finite, got nan"),
+])
+def test_bad_level_or_transform_variable_refused_before_sampling(monkeypatch, scattered100,
+                                                                 grids, message):
+    # P(I >= nan) and E[exp(5 I)] are no estimates; refused before the disc is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("the disc was built before the grids were checked")
+
+    monkeypatch.setattr(mcsim, "truncation_radius", no_build)
+    monkeypatch.setattr(mcsim, "PointProcessSampler", no_build)
+    with pytest.raises(ip.DomainError, match=message):
+        ip.simulate(scattered100, rayleigh_channel(4, 1.0), ip.LinkConfig(1e-3, 0.0, 10.0, 0.5),
+                    ip.SimConfig(50, 1), **grids)
 
 
 def test_sim_config_validation():

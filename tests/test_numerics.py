@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import isoppp as ip
 from isoppp import numerics
-from conftest import angular_closed_form, brute_angular_alpha4, kappa
+from conftest import angular_closed_form, brute_angular_alpha4, kappa, profile_slope
 
 
 class TestAngularClosedForm:
@@ -156,7 +156,8 @@ class TestArctanKernel:
 
 class TestIntegrateSemiInfinite:
     def test_total_derivative_mass(self):
-        res = ip.integrate_semi_infinite(ip.scenario_scattered(1.0).eval_deriv, 1e-10, knee=4.0)
+        shape = ip.scenario_scattered(1.0)
+        res = ip.integrate_semi_infinite(lambda r: profile_slope(shape, r), 1e-10, knee=4.0)
         assert res.converged
         assert res.value == pytest.approx(-1.0, abs=1e-10)
 
@@ -170,13 +171,15 @@ class TestIntegrateSemiInfinite:
     def test_compact_support_skips_tail(self):
         shape = ip.scenario_finite_network(400.0, 600.0)
         res = ip.integrate_semi_infinite(
-            shape.eval_deriv, 1e-12, knots=shape.knots, support_end=shape.support_end
+            lambda r: profile_slope(shape, r), 1e-12, knots=shape.knots,
+            support_end=shape.support_end
         )
         assert res.converged
         assert res.value == pytest.approx(-1.0, rel=1e-12)
 
     def test_error_estimate_honoured(self):
-        res = ip.integrate_semi_infinite(ip.scenario_scattered(2.0).eval_deriv, 1e-8, knee=8.0)
+        shape = ip.scenario_scattered(2.0)
+        res = ip.integrate_semi_infinite(lambda r: profile_slope(shape, r), 1e-8, knee=8.0)
         assert res.converged
         assert res.abs_error <= max(1e-8, 1e-8 * abs(res.value))
         assert res.abs_error >= 0.0
