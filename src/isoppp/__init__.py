@@ -54,8 +54,6 @@ from .mcsim import (
 )
 from .numerics import (
     IntegralResult,
-    arctan_kernel,
-    asinh_kernel,
     integrate_interval,
     integrate_semi_infinite,
 )

@@ -6,18 +6,9 @@ factors as ``lambda * A_alpha(y0, c)`` where the driving function
 the path-loss constant.  It is computed as Campbell's radial integral
 ``int_0^inf r F(r) K_alpha(r) dr`` with the closed-form angular kernels of
 ``numerics``; its integrand is positive, so the result is accurate to a
-relative tolerance at every offset.  The paper states it by parts,
-
-    A_2(y0, c) = -pi * ( F(0) K(0) + int_0^inf f(r) K(r) dr ),
-                 K = asinh kernel (log form at the origin),
-
-    A_4(y0, c) = pi/(2 sqrt(c)) * ( F_inf pi/2 - F(0) Theta(0)
-                                    - int_0^inf f(r) Theta(r) dr ),
-                 Theta = arctan kernel, Theta(0) = -pi/2,
-
-and the frozen values in ``tests/test_analytic.py`` pin that equivalence;
-the by-parts form at exponent 4 cancels two O(1) terms far from a compact
-deployment.
+relative tolerance at every offset.  The paper's by-parts forms are kept
+as test oracles (``tests/conftest.py``), and frozen values in
+``tests/test_analytic.py`` pin the equivalence.
 
 Under Rayleigh fading the interference Laplace transform is
 ``exp(-lambda s A_alpha(y0, s + c))``, which downstream modules turn into
@@ -36,9 +27,11 @@ from .errors import (DivergentIntegral, DomainError, NumericOverflow, Unsupporte
                      _check_finite, _check_nonnegative, _check_positive)
 from .numerics import (IntegralResult, _converged, _kernel_alpha2, _kernel_alpha4,
                        integrate_semi_infinite)
-# unused here, but the benchmark's tracer (perfbench/tracer.py) patches them by name
-from .numerics import arctan_kernel, asinh_kernel  # noqa: F401
 from .shapes import ShapeFunction, TailKind
+
+# placeholders: perfbench/tracer.py wraps these names but never calls them;
+# ROADMAP item 7 (library-owned trace spans) removes them
+arctan_kernel = asinh_kernel = None
 
 
 @dataclass(frozen=True)
@@ -285,15 +278,14 @@ def classify_finiteness(shape: ShapeFunction, channel: ChannelModel) -> Finitene
     """Finiteness of the interferer count and of the interference itself.
 
     The expected count is finite only for compactly supported, exponentially
-    decaying, or power-decaying (exponent > 2) shapes.  At alpha = 2 the mean
-    interference needs any power-law-or-faster decay, and a non-decaying or
-    log-decaying density makes the interference infinite almost surely; at
-    alpha = 4 the mean is finite for every shape.  At c = 0 the path loss is
-    singular at the receiver, so the mean counts as infinite (it is wherever
-    F(y0) > 0); almost-sure finiteness depends on the tail alone.
+    decaying, or power-decaying (exponent > 2) shapes, whatever alpha.  At
+    alpha = 2 the mean interference needs any power-law-or-faster decay, and
+    a non-decaying or log-decaying density makes the interference infinite
+    almost surely; at every alpha > 2 the mean is finite for every shape when
+    c > 0.  At c = 0 the path loss is singular at the receiver, so the mean
+    counts as infinite (it is wherever F(y0) > 0); almost-sure finiteness
+    depends on the tail alone.
     """
-    if channel.alpha not in (2, 4):
-        raise UnsupportedAlpha("finiteness classification covers alpha in {2, 4}")
     kind = shape.tail.kind
     count_finite = kind in (TailKind.COMPACT_SUPPORT, TailKind.EXPONENTIAL_DECAY) or (
         kind is TailKind.POWER_DECAY and (shape.tail.param or 0.0) > 2.0

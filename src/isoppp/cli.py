@@ -454,6 +454,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"isoppp: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a sweep or trial count too large to allocate
+        print(f"isoppp: request too large: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

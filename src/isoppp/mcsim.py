@@ -4,7 +4,8 @@ Samples the isotropic Poisson deployment by inverse-transform sampling of
 the radial density r F(r) (a trapezoid CDF table inverted by linear
 interpolation, checked at build time against direct quadrature of r F(r))
 with uniform angles, applies fading, and accumulates interference
-statistics with 95% normal confidence half-widths.  The inverse finds its
+statistics with 95% normal confidence half-widths, each from the sample
+sigma with n - 1, frequencies included.  The inverse finds its
 table knot through a guide table and returns exactly what ``np.interp``
 returns; path loss and per-trial sums are evaluated over blocks of trials,
 after the block's random draws.
@@ -398,23 +399,17 @@ def simulate(
             outage = _estimate(1.0 - np.asarray(channel.fading.tail(x), dtype=float))
         else:
             # drawn after every trial, so requesting outage leaves the interference unchanged
-            outage = _frequency(np.asarray(fading_sampler(rng, trials), dtype=float) < x)
-    tail = _per_key(z_grid, lambda z: _frequency(interference >= z))
+            outage = _estimate(np.asarray(fading_sampler(rng, trials), dtype=float) < x)
+    tail = _per_key(z_grid, lambda z: _estimate(interference >= z))
     laplace = _per_key(s_grid, lambda s: _estimate(np.exp(-s * interference)))
     return SimOutcome(*_estimate(interference), *tail, *outage, *laplace, bias, trials, radius)
 
 
 def _estimate(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its 95% normal half-width (inf for one sample)."""
+    """Sample mean and its 95% normal half-width, from the sample sigma with
+    n - 1 (inf for one sample); a frequency is the mean of its 0/1 hits."""
     half_width = _Z95 * float(np.std(x, ddof=1)) / math.sqrt(x.size) if x.size > 1 else math.inf
     return float(np.mean(x)), half_width
-
-
-def _frequency(hits: np.ndarray) -> tuple[float, float]:
-    """Hit frequency and its 95% binomial (normal-approximation) half-width
-    (inf for one sample)."""
-    p = float(np.mean(hits))
-    return p, _Z95 * math.sqrt(p * (1.0 - p) / hits.size) if hits.size > 1 else math.inf
 
 
 def _per_key(grid, stat) -> tuple[dict | None, dict | None]:

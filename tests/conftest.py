@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import isoppp as ip
+from isoppp.errors import _check_nonnegative, _check_positive
 
 # a valid parameter set of every registered scenario (``shapes._SCENARIOS``)
 SCENARIO_PARAMS = {
@@ -97,6 +98,80 @@ def kappa(r, c, y0_norm):
     num = complex(t2 - a2, -s)
     inner = complex(s, t2 + a2) ** 2 + 4.0 * t2 * a2
     return num / np.sqrt(complex(inner))
+
+
+def asinh_kernel(r, c: float, y0_norm: float):
+    """Radial kernel of the paper's by-parts mean at path-loss exponent 2,
+
+        A_2(y0, c) = -pi * ( F(0) K(0) + int_0^inf f(r) K(r) dr ),  f = F'.
+
+    For offsets above ``1e-6 max(1, sqrt(c))`` this is
+    ``asinh((r^2 + c - y0^2) / (2 y0 sqrt(c)))``; at (and near) the origin
+    the asinh argument degenerates as 1/y0 and the kernel is replaced by
+    ``log(r^2 + y0^2 + c)``.  The two branches differ by an r-independent
+    offset that cancels in every integral against a decaying shape.
+
+    Accepts a scalar radius or an array of radii.
+    """
+    _check_positive(c=c)
+    _check_nonnegative(y0_norm=y0_norm)
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(arr < 0):
+        raise ip.DomainError("radius must be nonnegative")
+    if y0_norm <= 1e-6 * max(1.0, math.sqrt(c)):
+        out = np.log(arr * arr + y0_norm * y0_norm + c)
+    else:
+        out = np.arcsinh((arr * arr + c - y0_norm * y0_norm) / (2.0 * y0_norm * math.sqrt(c)))
+    if np.ndim(r) == 0:
+        return float(out[0])
+    return out
+
+
+def arctan_kernel(r, c: float, y0_norm: float):
+    """Angle kernel of the paper's by-parts mean at path-loss exponent 4,
+
+        A_4(y0, c) = pi/(2 sqrt(c)) * ( F_inf pi/2 - F(0) Theta(0)
+                                        - int_0^inf f(r) Theta(r) dr ),
+
+    with ``Theta(0) = -pi/2``.  Far from a compact deployment this form
+    cancels two O(1) terms, which the library's radial integral avoids.
+
+    Mathematically this is ``atan2(2 Re kappa, 1 - |kappa|^2)``, which is
+    continuous, nondecreasing in r, and runs from -pi/2 at r = 0 to +pi/2 as
+    r -> infinity.  That two-argument form is ill-conditioned wherever
+    1 - |kappa|^2 underflows (r near 0, offsets near 0, and large r), so the
+    kernel is evaluated through the equivalent stable expression
+
+        Theta(r) = 2 arg(D + s + j u) - pi/2,
+        D = sqrt(s^2 - u^2 + 2 j s v),  s = sqrt(c),
+        u = r^2 - y0^2,  v = r^2 + y0^2,
+
+    obtained by writing atan2(2 Re k, 1 - |k|^2) = arg((1 + jk)(1 + j conj k))
+    and rationalising; Im(D) >= |u| guarantees the argument stays in
+    [0, pi/2], hence Theta in [-pi/2, pi/2].  At y0 = 0 it reduces exactly to
+    2 atan(r^2 / sqrt(c)) - pi/2.
+
+    Accepts a scalar radius or an array of radii.
+    """
+    _check_positive(c=c)
+    _check_nonnegative(y0_norm=y0_norm)
+    s = math.sqrt(c)
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(arr < 0):
+        raise ip.DomainError("radius must be nonnegative")
+    # beyond ~1e70 the intermediate squares overflow; the kernel is pi/2 to
+    # well below machine precision there.
+    arr = np.minimum(arr, 1e70)
+    t2 = arr * arr
+    a2 = float(y0_norm) ** 2
+    u = t2 - a2
+    v = t2 + a2
+    inner = (s * s - u * u) + 2j * s * v
+    w = np.sqrt(inner) + s + 1j * u
+    out = 2.0 * np.angle(w) - 0.5 * math.pi
+    if np.ndim(r) == 0:
+        return float(out[0])
+    return out
 
 
 def brute_angular_alpha2(r, c, y0):

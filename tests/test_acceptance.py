@@ -14,8 +14,10 @@ import pytest
 from scipy.integrate import quad
 
 import isoppp as ip
+from isoppp import numerics
 from isoppp.cli import main as cli_main
-from conftest import brute_angular_alpha4, campbell_outage, rayleigh_channel, unit_channel
+from conftest import (arctan_kernel, brute_angular_alpha2, brute_angular_alpha4, campbell_outage,
+                      rayleigh_channel, unit_channel)
 
 pytestmark = pytest.mark.acceptance
 
@@ -53,7 +55,9 @@ def test_criterion_02_stationary_laplace_recovery():
 
 
 def test_criterion_03_arctan_kernel_oracle():
-    worst = 0.0
+    # the paper's angle kernel (a test oracle) and the closed-form kernels the
+    # library integrates, each against brute-force angular quadrature
+    worst = worst2 = worst4 = 0.0
     grid = (0.5, 1.0, 2.0, 5.0)
     for r in grid:
         for c in grid:
@@ -62,16 +66,21 @@ def test_criterion_03_arctan_kernel_oracle():
                 lhs = (
                     math.pi
                     / (2.0 * math.sqrt(c))
-                    * (ip.arctan_kernel(r + h, c, y0) - ip.arctan_kernel(r - h, c, y0))
+                    * (arctan_kernel(r + h, c, y0) - arctan_kernel(r - h, c, y0))
                     / (2.0 * h)
                 )
                 rhs = brute_angular_alpha4(r, c, y0)
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    lim_lo = abs(ip.arctan_kernel(1e-9, 1.0, 3.0) + math.pi / 2)
-    lim_hi = abs(ip.arctan_kernel(1e9, 1.0, 3.0) - math.pi / 2)
-    ok = worst <= 1e-6 and lim_lo <= 1e-4 and lim_hi <= 1e-4
+                worst4 = max(worst4, abs(r * numerics._kernel_alpha4(r, c, y0) - rhs) / rhs)
+                rhs2 = 2.0 * brute_angular_alpha2(r, c, y0)
+                worst2 = max(worst2, abs(numerics._kernel_alpha2(r, c, y0) - rhs2) / rhs2)
+    lim_lo = abs(arctan_kernel(1e-9, 1.0, 3.0) + math.pi / 2)
+    lim_hi = abs(arctan_kernel(1e9, 1.0, 3.0) - math.pi / 2)
+    ok = (worst <= 1e-6 and lim_lo <= 1e-4 and lim_hi <= 1e-4
+          and worst2 <= 1e-12 and worst4 <= 1e-12)
     _report(3, ok, f"angle-kernel derivative oracle: max rel err {worst:.2e} on 4^3 grid; "
-                   f"limits off by {lim_lo:.1e}/{lim_hi:.1e} (tol 1e-4)")
+                   f"limits off by {lim_lo:.1e}/{lim_hi:.1e} (tol 1e-4); library kernels "
+                   f"K_2 {worst2:.1e}, K_4 {worst4:.1e} (tol 1e-12)")
     assert ok
 
 

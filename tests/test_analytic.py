@@ -38,7 +38,8 @@ class TestDrivingAlpha2:
                 assert ip.interference_driving(shape, y0, 1.0, 2).value > 0.0
 
     def test_continuous_across_origin_handoff(self):
-        # the asinh/log branch switch must not move the integral
+        # the paper's by-parts kernel switches from its log to its asinh form at
+        # eps; the radial integral has no switch, so both sides give the origin's value
         shape = ip.scenario_scattered(10.0)
         eps = 1e-6  # threshold at c=1
         below = ip.interference_driving(shape, eps * 0.5, 1.0, 2).value
@@ -277,6 +278,15 @@ class TestClassifyFiniteness:
         assert verdict.mean_interference_finite is False
         with pytest.raises(ip.DomainError):
             ip.mean_interference(ip.constant_shape(1.0), rayleigh_channel(4, 0.0), 1e-3, 0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 5.0])
+    def test_every_alpha_above_two_classifies_as_alpha4(self, alpha):
+        for shape in (ip.scenario_scattered(100.0), ip.constant_shape(1.0),
+                      ip.power_tail_shape(1.5, 10.0), ip.log_decay_shape(100.0)):
+            for c in (1.0, 0.0):
+                verdict = ip.classify_finiteness(shape, rayleigh_channel(alpha, c))
+                assert verdict == ip.classify_finiteness(shape, rayleigh_channel(4, c))
+                assert verdict.mean_interference_finite is (c > 0)
 
     def test_count_threshold_at_nu_two(self):
         ch = rayleigh_channel(2, 1.0)

@@ -321,6 +321,24 @@ class TestPathLossOverflow:
             assert "alpha=4" in row[-1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["mean", "--shape", C100, "--alpha", "4", "--c", "1", "--sweep", "y0=0:1e15:1"],
+    ["sweep", "--task", "outage", "--axis", "y0=0:1e15:1", "--shape", C100, "--alpha", "4",
+     "--c", "1"],
+    ["simulate", "--shape", C100, "--alpha", "4", "--c", "1", "--trials", str(10**15)],
+    ["simulate", "--shape", C100, "--alpha", "4", "--c", "1", "--trials", "10", "--what", "tail",
+     "--sweep", "z=0:1e15:1"],
+], ids=["mean-sweep", "sweep-task", "simulate-trials", "simulate-tail-sweep"])
+def test_oversized_request_is_config_error(capsys, argv):
+    # a sweep grid or trial array of 1e15 doubles (7.11 PiB) cannot be allocated
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("isoppp: request too large: Unable to allocate")
+    assert err.count("\n") == 1
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("argv", [
         ["laplace", "--shape", C100, "--alpha", "4", "--y0", "nan"],

@@ -2,7 +2,7 @@
 
 Each example runs one analytic command through ``cli.main`` with one numeric
 argument, or one parameter of any registered scenario, set to an extreme or
-non-finite value.
+non-finite value, or with a malformed or oversized sweep spec or trial count.
 The command must end with exit code 0, 2, 3 or 4, never an uncaught
 exception, within a wall-clock budget.  Examples are derandomized, so every
 run checks the same forms.
@@ -18,7 +18,7 @@ from datetime import timedelta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoppp.cli import main
+from isoppp.cli import COMMANDS, main
 from isoppp.shapes import _SCENARIOS
 from conftest import SCENARIO_PARAMS
 
@@ -41,6 +41,14 @@ SHAPE_PARAMS = tuple((name, param) for name, build in _SCENARIOS.items()
                      for param in inspect.signature(build).parameters)
 
 
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects a form with exit 2
+            return exc.code
+
+
 def _shape(scenario, param, value):
     params = dict(SCENARIO_PARAMS[scenario])
     if param is not None:
@@ -61,15 +69,11 @@ def test_extreme_argument_exits_cleanly(command, data, value):
         argv += ["--shape", _shape(scenario, param, value)]
     if isinstance(target, str):
         argv.append(f"{target}={value!r}")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a form with exit 2
-            code = exc.code
-    assert code in (0, 2, 3, 4), argv
+    assert _exit_code(argv) in (0, 2, 3, 4), argv
 
 
 SIMULATE = ["simulate", "--alpha", "4", "--y0", "30", "--trials", "10"]
+C100 = _shape("C", None, None)
 
 
 @settings(derandomize=True, database=None, deadline=timedelta(seconds=2), max_examples=200)
@@ -82,9 +86,25 @@ def test_extreme_simulate_argument_exits_cleanly(target, value):
     argv = [*SIMULATE, "--shape", _shape(scenario, param, value)]
     if isinstance(target, str):
         argv.append(f"{target}={value!r}")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a form with exit 2
-            code = exc.code
-    assert code in (0, 2, 3, 4), argv
+    assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+# sweep specs that fail or finish at once: oversized (1e15 points), non-finite,
+# non-positive or infinitesimal steps, an empty grid, and malformed specs
+SPECS = ("0:1e15:1", "nan:1:1", "0:inf:1", "0:1:0", "0:1:-1", "0:1e300:1e-300", "1:0:1", "0:1",
+         "bogus")
+SPEC_FORMS = (
+    *([command, *FORMS[command][0], *(["--shape", C100] if command != "csma" else []),
+       "--sweep", f"{next(iter(COMMANDS[command].axes))}={spec}"]
+      for command in sorted(FORMS) for spec in SPECS),
+    *([*SIMULATE, "--shape", C100, "--what", "tail", "--sweep", f"z={spec}"] for spec in SPECS),
+    *([*SIMULATE, "--shape", C100, f"--trials={n}"] for n in (0, -1, 10**15)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=timedelta(seconds=2), max_examples=300)
+@given(argv=st.sampled_from(SPEC_FORMS))
+def test_sweep_spec_or_trial_count_exits_cleanly(argv):
+    """Each analytic command's first sweep axis, and ``simulate``'s tail levels,
+    over every spec in SPECS; ``simulate --trials`` at 0, -1 and 1e15."""
+    assert _exit_code(argv) in (0, 2, 3, 4), argv

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 import isoppp as ip
 from isoppp import numerics
-from conftest import angular_closed_form, brute_angular_alpha4, kappa, profile_slope
+from conftest import (angular_closed_form, arctan_kernel, asinh_kernel, brute_angular_alpha4,
+                      kappa, profile_slope)
 
 
 class TestAngularClosedForm:
@@ -36,20 +37,20 @@ class TestAngularClosedForm:
 
 class TestAsinhKernel:
     def test_origin_log_form_zero(self):
-        assert ip.asinh_kernel(0.0, 1.0, 0.0) == 0.0
+        assert asinh_kernel(0.0, 1.0, 0.0) == 0.0
 
     def test_asinh_zero_argument(self):
-        assert ip.asinh_kernel(0.0, 4.0, 2.0) == 0.0
+        assert asinh_kernel(0.0, 4.0, 2.0) == 0.0
 
     def test_direct_arithmetic(self):
         x = 76.0 / 10.0
-        value = ip.asinh_kernel(10.0, 1.0, 5.0)
+        value = asinh_kernel(10.0, 1.0, 5.0)
         assert value == pytest.approx(math.asinh(x), rel=1e-15)
         assert value == pytest.approx(math.log(x + math.sqrt(x * x + 1.0)), rel=1e-14)
 
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ip.DomainError):
-            ip.asinh_kernel(1.0, 0.0, 1.0)
+            asinh_kernel(1.0, 0.0, 1.0)
 
     def test_handoff_offset_is_radius_independent(self):
         # just above the origin threshold the asinh form differs from the
@@ -65,7 +66,7 @@ class TestAsinhKernel:
 
     def test_vectorised(self):
         r = np.array([0.0, 1.0, 10.0])
-        out = ip.asinh_kernel(r, 1.0, 5.0)
+        out = asinh_kernel(r, 1.0, 5.0)
         assert out.shape == (3,)
         assert out[2] == pytest.approx(math.asinh(7.6))
 
@@ -82,7 +83,7 @@ class TestKappa:
     def test_large_radius_tends_to_minus_j(self):
         k = kappa(1e8, 2.0, 3.0)
         assert k == pytest.approx(-1j, abs=1e-12)
-        assert ip.arctan_kernel(1e8, 2.0, 3.0) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert arctan_kernel(1e8, 2.0, 3.0) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_modulus_bounded_by_one(self):
         for r in (0.0, 0.3, 1.0, 4.0, 25.0, 1e3):
@@ -93,13 +94,13 @@ class TestKappa:
 
 class TestArctanKernel:
     def test_limit_at_zero(self):
-        assert ip.arctan_kernel(1e-9, 1.0, 3.0) == pytest.approx(-math.pi / 2, abs=1e-4)
+        assert arctan_kernel(1e-9, 1.0, 3.0) == pytest.approx(-math.pi / 2, abs=1e-4)
 
     def test_limit_at_infinity(self):
-        assert ip.arctan_kernel(1e9, 1.0, 3.0) == pytest.approx(math.pi / 2, abs=1e-4)
+        assert arctan_kernel(1e9, 1.0, 3.0) == pytest.approx(math.pi / 2, abs=1e-4)
 
     def test_exact_endpoints(self):
-        assert ip.arctan_kernel(0.0, 1.0, 3.0) == -math.pi / 2
+        assert arctan_kernel(0.0, 1.0, 3.0) == -math.pi / 2
 
     def test_matches_two_argument_angle_form(self):
         # where 1 - |kappa|^2 is well conditioned the kernel must equal
@@ -109,17 +110,17 @@ class TestArctanKernel:
                 for y0 in (0.5, 1.0, 3.0):
                     k = kappa(r, c, y0)
                     reference = math.atan2(2.0 * k.real, 1.0 - abs(k) ** 2)
-                    assert ip.arctan_kernel(r, c, y0) == pytest.approx(reference, abs=1e-10)
+                    assert arctan_kernel(r, c, y0) == pytest.approx(reference, abs=1e-10)
 
     def test_monotone_in_radius(self):
         r = np.linspace(0.0, 100.0, 5000)
         for y0 in (0.0, 1.0, 7.0):
-            theta = ip.arctan_kernel(r, 2.0, y0)
+            theta = arctan_kernel(r, 2.0, y0)
             assert np.all(np.diff(theta) >= -1e-12)
 
     def test_range(self):
         r = np.geomspace(1e-8, 1e8, 500)
-        theta = ip.arctan_kernel(r, 0.5, 2.0)
+        theta = arctan_kernel(r, 0.5, 2.0)
         assert np.all(theta >= -math.pi / 2 - 1e-12)
         assert np.all(theta <= math.pi / 2 + 1e-12)
 
@@ -133,7 +134,7 @@ class TestArctanKernel:
         lhs = (
             math.pi
             / (2.0 * math.sqrt(c))
-            * (ip.arctan_kernel(r + h, c, y0) - ip.arctan_kernel(r - h, c, y0))
+            * (arctan_kernel(r + h, c, y0) - arctan_kernel(r - h, c, y0))
             / (2.0 * h)
         )
         rhs = brute_angular_alpha4(r, c, y0)
@@ -146,12 +147,12 @@ class TestArctanKernel:
         outer, _ = quad(lambda t: brute_angular_alpha4(t, c, y0), 0.0, 2.0,
                         epsabs=1e-12, epsrel=1e-12)
         expected = -math.pi / 2 + (2.0 * math.sqrt(c) / math.pi) * outer
-        assert ip.arctan_kernel(2.0, c, y0) == pytest.approx(expected, rel=1e-9)
+        assert arctan_kernel(2.0, c, y0) == pytest.approx(expected, rel=1e-9)
 
     def test_origin_offset_reduces_to_analytic_form(self):
         r = np.array([0.2, 1.0, 4.0, 30.0])
         expected = 2.0 * np.arctan(r * r / math.sqrt(2.0)) - math.pi / 2
-        np.testing.assert_allclose(ip.arctan_kernel(r, 2.0, 0.0), expected, rtol=1e-13)
+        np.testing.assert_allclose(arctan_kernel(r, 2.0, 0.0), expected, rtol=1e-13)
 
 
 class TestIntegrateSemiInfinite:
