@@ -66,7 +66,8 @@ def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
     straddling a knot are meaningless), which conservatively shrinks the
     detected intervals.  When the last grid point qualifies, the final
     interval is extended to infinity provided the test also passes at
-    geometrically growing probe radii.
+    geometrically growing probe radii.  A run of a single grid point has no
+    width and is dropped, unless it starts at the origin or reaches infinity.
     """
     _check_positive(grid_step=grid_step)
     r_max = max(2.0 * shape.scale, 10.0 * grid_step, 1.2 * max(shape.knots, default=0.0))
@@ -86,21 +87,17 @@ def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
     for knot in shape.knots:
         ok &= np.abs(grid - knot) > grid_step * (1.0 + 1e-9)
 
+    # runs of ok as [start, stop) index pairs, from the edges of the padded mask
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
+    probe = grid[-1] * 2.0 ** np.arange(1, _PROBE_DOUBLINGS + 1)
     intervals: list[tuple[float, float]] = []
-    start = None
-    for i, good in enumerate(ok):
-        if good and start is None:
-            start = i
-        elif not good and start is not None:
-            intervals.append((0.0 if start == 0 else float(grid[start]), float(grid[i - 1])))
-            start = None
-    if start is not None:
+    for start, stop in zip(edges[::2], edges[1::2]):
         lo = 0.0 if start == 0 else float(grid[start])
-        hi = float(grid[-1])
-        probe = grid[-1] * 2.0 ** np.arange(1, _PROBE_DOUBLINGS + 1)
-        if np.all(_convex_in_log_r(shape, probe)):
+        hi = float(grid[stop - 1])
+        if stop == n and np.all(_convex_in_log_r(shape, probe)):
             hi = math.inf
-        intervals.append((lo, hi))
+        if lo < hi:  # a one-point run inside the grid has no width
+            intervals.append((lo, hi))
     return RadialRegion(intervals=tuple(intervals))
 
 

@@ -43,63 +43,58 @@ EXIT_DIVERGENT = 4
 # ---------------------------------------------------------------------------
 
 
-def _add_shape_args(p):
-    p.add_argument(
-        "--shape",
-        help="shape descriptor: JSON like "
-        '\'{"scenario":"C","params":{"rho":100}}\' or a bare scenario name',
-    )
-    p.add_argument("--scenario-file", help="path to a JSON shape descriptor file")
+# every option once: flag -> (argparse keywords, the config key that echoes
+# its value, or None for a value that is not echoed)
+_FLAGS = {
+    "--shape": (dict(help="shape descriptor: JSON like "
+                     '\'{"scenario":"C","params":{"rho":100}}\' or a bare scenario name'), None),
+    "--scenario-file": (dict(help="path to a JSON shape descriptor file"), None),
+    "--alpha": (dict(type=float, help="path-loss exponent"), "alpha"),
+    "--c": (dict(type=float, default=1.0, help="path-loss constant"), "c"),
+    "--fading": (dict(choices=["rayleigh", "unit"], default="rayleigh", help="fading law"),
+                 "fading"),
+    "--lambda": (dict(dest="lambda_scale", type=float, default=1e-3,
+                      help="intensity scale (nodes per unit area)"), "lambda_scale"),
+    "--y0": (dict(type=float, default=0.0, help="receiver offset from the centre"), "y0"),
+    "--d": (dict(type=float, default=10.0, help="link distance"), "d"),
+    "--beta": (dict(type=float, default=1.0, help="SINR threshold"), "beta"),
+    "--eta-db": (dict(type=float, default=math.inf,
+                      help="mean SNR in dB ('inf' for a noise-free link)"), "eta_db"),
+    "--s": (dict(type=float, default=1.0, help="transform variable"), "s"),
+    "--epsilon": (dict(type=float, required=True, help="outage budget in (0, 1)"), "epsilon"),
+    "--m-gain": (dict(type=float, default=4.0, help="processing gain M"), "m"),
+    "--delta": (dict(type=float, help="sensing threshold (linear)"), "delta"),
+    "--delta-db": (dict(type=float, help="sensing threshold in dB"), None),
+    "--what": (dict(choices=["mean", "outage", "tail", "laplace"], default="mean",
+                    help="statistic to estimate beside the mean"), "what"),
+    "--trials": (dict(type=int, default=10**4, help="number of trials"), "trials"),
+    "--seed": (dict(type=int, default=1, help="random seed"), "seed"),
+    "--max-radius": (dict(type=float, help="sampling disc radius (default: truncation rule)"),
+                     "max_radius_override"),
+    "--z": (dict(help="comma-separated tail levels"), None),
+    "--tol": (dict(type=float, default=1e-10, help="quadrature tolerance"), "tol"),
+    "--out": (dict(help="output file (default: stdout)"), None),
+    "--format": (dict(choices=["csv", "json"], default="csv", help="output format"), None),
+    "--sweep": (dict(help="axis spec 'name=start:stop:step'"), None),
+}
+_OUTPUT = ("--tol", "--out", "--format", "--sweep")
+_LINK = ("--shape", "--scenario-file", "--alpha", "--c", "--fading", "--lambda", "--y0", "--d",
+         "--beta", "--eta-db", *_OUTPUT)
+# simulate's --s is a comma list of transform variables, so it is declared here
+_SIMULATE = (*_LINK, "--what", "--trials", "--seed", "--max-radius", "--z",
+             ("--s", dict(help="comma-separated transform variables"), None))
 
 
-def _add_output_args(p):
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--sweep", help="axis spec 'name=start:stop:step'")
-
-
-def _link_options(default_c, *own):
-    """Options over a shape, a channel and a link, then (flag, keywords) pairs."""
-
-    def add(p):
-        _add_shape_args(p)
-        p.add_argument("--alpha", type=float, default=None, help="path-loss exponent")
-        p.add_argument("--c", type=float, default=default_c, help="path-loss constant")
-        p.add_argument(
-            "--fading", choices=["rayleigh", "unit"], default="rayleigh", help="fading law"
-        )
-        p.add_argument("--lambda", dest="lambda_scale", type=float, default=1e-3,
-                       help="intensity scale (nodes per unit area)")
-        p.add_argument("--y0", type=float, default=0.0, help="receiver offset from the centre")
-        p.add_argument("--d", type=float, default=10.0, help="link distance")
-        p.add_argument("--beta", type=float, default=1.0, help="SINR threshold")
-        p.add_argument("--eta-db", dest="eta_db", type=float, default=math.inf,
-                       help="mean SNR in dB ('inf' for a noise-free link)")
-        _add_output_args(p)
-        for flag, kwargs in own:
-            p.add_argument(flag, **kwargs)
-
-    return add
-
-
-def _fhds_options(p):
-    _add_shape_args(p)
-    p.add_argument("--d", type=float, default=10.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--m-gain", dest="m_gain", type=float, default=4.0, help="processing gain M")
-    _add_output_args(p)
-
-
-def _csma_options(p):
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--lambda", dest="lambda_scale", type=float, default=1e-3)
-    p.add_argument("--d", type=float, default=10.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=None, help="sensing threshold (linear)")
-    p.add_argument("--delta-db", dest="delta_db", type=float, default=None,
-                   help="sensing threshold in dB")
-    _add_output_args(p)
+def _add_flags(p, flags, **defaults):
+    """Add each flag (a key of _FLAGS, or a (flag, keywords, key) triple) to p,
+    and record which config key echoes which argument as its default 'echo'."""
+    echo = {}
+    for flag in flags:
+        name, kwargs, key = (flag, *_FLAGS[flag]) if isinstance(flag, str) else flag
+        dest = p.add_argument(name, **kwargs).dest
+        if key:
+            echo[dest] = key
+    p.set_defaults(echo=echo, **defaults)
 
 
 def _resolve_shape(args) -> shapes.ShapeFunction:
@@ -141,7 +136,10 @@ def _parse_axis(spec: str):
     _check_positive(step=step)
     if stop < start:
         return name.strip(), np.empty(0)
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise DomainError(f"axis spec {spec!r} has too many points to count")
+    count = int(math.floor(steps + 1e-9)) + 1
     return name.strip(), start + step * np.arange(count)
 
 
@@ -181,17 +179,13 @@ def _emit(config: dict, columns: list, rows: list, args) -> None:
         sys.stdout.write(text)
 
 
-def _base_config(args, command: str, shape=None, extras=None) -> dict:
-    cfg = {"command": command}
-    if shape is not None:
-        cfg["shape"] = shape.descriptor
-    for key in ("alpha", "c", "fading", "lambda_scale", "y0", "d", "beta", "eta_db", "tol"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    if getattr(args, "sweep", None):
+def _config(args, shape) -> dict:
+    """The arguments the parser echoes, under their config keys, plus the
+    command, the shape descriptor and the sweep spec when one is set."""
+    cfg = {key: getattr(args, dest) for dest, key in args.echo.items()}
+    cfg.update(command=args.command, shape=shape.descriptor)
+    if args.sweep:
         cfg["sweep"] = args.sweep
-    if extras:
-        cfg.update(extras)
     return cfg
 
 
@@ -227,52 +221,54 @@ class _Command(NamedTuple):
     run, so a module attribute patched from outside (a tracer) takes effect."""
 
     help: str
-    options: Callable  # adds the command's options to its parser
+    flags: tuple  # the command's options, keys of _FLAGS
     columns: list  # value columns of a row
     axes: dict  # sweepable axis -> the argument a sweep point overrides
-    extras: dict  # config key echoed beyond the shared ones -> its argument
     row: Callable  # (args, shape, channel) -> one row of values
     setup: Callable = lambda a: (_resolve_shape(a), _channel(a))  # -> (shape, channel)
+    defaults: dict = {}  # argument defaults that differ from _FLAGS'
 
 
 _LINK_AXES = {"y0": "y0", "d": "d", "beta": "beta", "lambda": "lambda_scale"}
+_ZERO_C = {"c": 0.0}
 
 COMMANDS = {
     "mean": _Command(
-        "mean interference lambda * A_alpha(y0, c)", _link_options(1.0),
-        ["value", "abs_error", "converged"], {"y0": "y0", "lambda": "lambda_scale"}, {}, _mean_row),
+        "mean interference lambda * A_alpha(y0, c)", _LINK,
+        ["value", "abs_error", "converged"], {"y0": "y0", "lambda": "lambda_scale"}, _mean_row),
     "laplace": _Command(
-        "interference Laplace transform at s",
-        _link_options(1.0, ("--s", dict(type=float, default=1.0, help="transform variable"))),
-        ["value"], {"y0": "y0", "s": "s", "lambda": "lambda_scale"}, {"s": "s"},
+        "interference Laplace transform at s", (*_LINK, "--s"),
+        ["value"], {"y0": "y0", "s": "s", "lambda": "lambda_scale"},
         lambda a, shape, ch: [laplace_transform(shape, ch, a.lambda_scale, a.y0, a.s, a.tol)]),
     "outage": _Command(
-        "exact Rayleigh outage probability", _link_options(1.0), ["value"], _LINK_AXES, {},
+        "exact Rayleigh outage probability", _LINK, ["value"], _LINK_AXES,
         lambda a, shape, ch: [outage.outage_exact(shape, ch, _link(a), a.tol)]),
     "divergence": _Command(
-        "log-divergence of the local approximation", _link_options(0.0), ["value"], _LINK_AXES,
-        {}, lambda a, shape, ch: [outage.log_divergence(shape, ch, _link(a), a.tol)]),
+        "log-divergence of the local approximation", _LINK, ["value"], _LINK_AXES,
+        lambda a, shape, ch: [outage.log_divergence(shape, ch, _link(a), a.tol)],
+        defaults=_ZERO_C),
     "relerror": _Command(
-        "relative error of the local approximation", _link_options(0.0), ["value"], _LINK_AXES,
-        {}, lambda a, shape, ch: [outage.relative_error(shape, ch, _link(a), a.tol)]),
+        "relative error of the local approximation", _LINK, ["value"], _LINK_AXES,
+        lambda a, shape, ch: [outage.relative_error(shape, ch, _link(a), a.tol)],
+        defaults=_ZERO_C),
     "capacity": _Command(
-        "local transmission capacity",
-        _link_options(0.0, ("--epsilon", dict(type=float, required=True,
-                                              help="outage budget in (0, 1)"))),
-        ["value"], {"y0": "y0", "d": "d", "beta": "beta"}, {"epsilon": "epsilon"},
+        "local transmission capacity", (*_LINK, "--epsilon"),
+        ["value"], {"y0": "y0", "d": "d", "beta": "beta"},
         lambda a, shape, ch: [applications.local_transmission_capacity(
-            shape, ch, _link(a), a.epsilon, a.tol)]),
+            shape, ch, _link(a), a.epsilon, a.tol)], defaults=_ZERO_C),
     "fhds": _Command(
-        "FH over DS CDMA capacity gain at the centre", _fhds_options, ["ratio", "asymptote"],
-        {"M": "m_gain", "d": "d", "beta": "beta"}, {"m": "m_gain"},
+        "FH over DS CDMA capacity gain at the centre",
+        ("--shape", "--scenario-file", "--d", "--beta", "--m-gain", *_OUTPUT),
+        ["ratio", "asymptote"], {"M": "m_gain", "d": "d", "beta": "beta"},
         lambda a, shape, _: [*astuple(applications.fh_ds_gain(shape, a.d, a.beta, a.m_gain,
                                                                 a.tol))],
         setup=lambda a: (_resolve_shape(a), None)),
     "csma": _Command(
-        "carrier-sense density and co-location accuracy loss", _csma_options,
+        "carrier-sense density and co-location accuracy loss",
+        ("--alpha", "--lambda", "--d", "--beta", "--delta", "--delta-db", *_OUTPUT),
         ["lambda_large_scale", "accuracy_loss"],
-        {"d": "d", "delta": "delta", "beta": "beta", "lambda": "lambda_scale"}, {"delta": "delta"},
-        _csma_row, setup=_csma_setup),
+        {"d": "d", "delta": "delta", "beta": "beta", "lambda": "lambda_scale"},
+        _csma_row, setup=_csma_setup, defaults={"alpha": 4.0}),
 }
 
 
@@ -281,8 +277,7 @@ def _cmd_analytic(args) -> int:
     overridden on a copy; a point's failure fills its error column."""
     spec = COMMANDS[args.command]
     shape, channel = spec.setup(args)
-    config = _base_config(args, args.command, shape,
-                          {key: getattr(args, name) for key, name in spec.extras.items()})
+    config = _config(args, shape)
     if not args.sweep:
         _emit(config, spec.columns, [spec.row(args, shape, channel)], args)
         return EXIT_OK
@@ -309,9 +304,7 @@ def _parse_grid(text: str | None):
 def _cmd_simulate(args) -> int:
     """One row of Monte-Carlo estimates, or one row per tail level or
     transform variable; each row ends with the run's mean and truncation."""
-    shape = _resolve_shape(args)
-    channel = _channel(args)
-    link = _link(args)
+    shape, channel, link = _resolve_shape(args), _channel(args), _link(args)
     cfg = mcsim.SimConfig(args.trials, args.seed, max_radius_override=args.max_radius)
     want = args.what
     z_grid = _parse_grid(args.z)
@@ -342,8 +335,7 @@ def _cmd_simulate(args) -> int:
         rows = [[s, o.laplace_est[s], o.laplace_half_width95[s]] for s in sorted(o.laplace_est)]
     else:
         columns, rows = [], [[]]
-    config = _base_config(args, "simulate", shape, {"what": want, "trials": args.trials,
-                          "seed": args.seed, "max_radius_override": args.max_radius})
+    config = _config(args, shape)
     base = [o.mean, o.mean_half_width95, o.truncation_bias_bound, o.trials_used, o.max_radius]
     _emit(config,
           [*columns, "mean", "mean_half_width95", "truncation_bias_bound", "trials", "max_radius"],
@@ -403,19 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, spec in COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
-        spec.options(p)
-        p.set_defaults(handler=_cmd_analytic)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo estimates with confidence intervals")
-    _link_options(1.0)(p)
-    p.set_defaults(handler=_cmd_simulate)
-    p.add_argument("--what", choices=["mean", "outage", "tail", "laplace"], default="mean")
-    p.add_argument("--trials", type=int, default=10**4)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-radius", dest="max_radius", type=float, default=None)
-    p.add_argument("--z", help="comma-separated tail levels")
-    p.add_argument("--s", help="comma-separated transform variables")
+        _add_flags(sub.add_parser(name, help=spec.help), spec.flags,
+                   handler=_cmd_analytic, **spec.defaults)
+    _add_flags(sub.add_parser("simulate", help="Monte-Carlo estimates with confidence intervals"),
+               _SIMULATE, handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run any analytic task over a parameter axis",
                        description="'sweep --task T --axis A ...' runs 'T ... --sweep A'",

@@ -73,6 +73,18 @@ class TestLocalTransmissionCapacity:
         with pytest.raises(ip.DomainError):
             ip.local_transmission_capacity(shape, rayleigh_channel(2, 0.0), _link(), 1.5)
 
+    def test_custom_fading_rejected(self):
+        fading = ip.FadingLaw.custom(lambda rng, n: rng.exponential(1.0, n))
+        ch = ip.ChannelModel(alpha=2, c=0.0, fading=fading)
+        with pytest.raises(ip.DomainError, match="assumes Rayleigh fading"):
+            ip.local_transmission_capacity(ip.scenario_scattered(100.0), ch, _link(), 0.1)
+
+    def test_noisy_link_rejected(self):
+        link = ip.LinkConfig(1e-3, 0.0, 10.0, 1.0, 10.0)
+        with pytest.raises(ip.DomainError, match="assumes a noise-free link"):
+            ip.local_transmission_capacity(ip.scenario_scattered(100.0), rayleigh_channel(2, 0.0),
+                                           link, 0.1)
+
 
 class TestFhDsGain:
     def test_unity_at_m_one(self, scattered100):
@@ -130,6 +142,10 @@ class TestFhDsGain:
         with pytest.raises(ip.DomainError, match="m must be finite"):
             ip.fh_ds_gain(scattered100, 10.0, 0.5, math.inf)
 
+    def test_gain_below_one_is_domain_error(self, scattered100):
+        with pytest.raises(ip.DomainError, match="processing gain M must be >= 1"):
+            ip.fh_ds_gain(scattered100, 10.0, 0.5, 0.5)
+
 
 class TestCsmaDensity:
     @pytest.mark.parametrize("lam, delta", [(math.nan, 1e-5), (1e-3, math.nan)])
@@ -140,6 +156,10 @@ class TestCsmaDensity:
     def test_thinning_vanishes_for_sparse_networks(self):
         lam = 1e-12
         assert ip.csma_large_scale_density(lam, 4.0, 1e-5) / lam >= 0.999
+
+    def test_alpha_below_two_is_domain_error(self):
+        with pytest.raises(ip.DomainError, match="path-loss exponent must be >= 2"):
+            ip.csma_large_scale_density(1e-3, 1.5, 1e-5)
 
     def test_direct_arithmetic(self):
         # gamma-function oracle: Gamma(1.5) = sqrt(pi)/2

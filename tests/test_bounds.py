@@ -114,6 +114,15 @@ class TestSubharmonicRegion:
         for knot in shape.knots:
             assert all(not (lo <= knot <= hi) for lo, hi in region.intervals)
 
+    def test_one_point_run_is_dropped(self):
+        # knots 2.6 steps apart leave one qualifying grid point (31) between
+        # them: a run with no width, not the invalid interval (31, 31)
+        shape = ip.scenario_finite_network(29.5, 32.1)
+        region = ip.subharmonic_region(shape, 1.0)
+        assert region.intervals == ((0.0, 28.0), (34.0, math.inf))
+        with pytest.raises(ip.OutsideRegion):
+            ip.lower_tail_bound(shape, rayleigh_channel(4, 1.0), 1e-2, 31.0, 0.1, region=region)
+
 
 class TestMaxInscribedRadius:
     def test_whole_plane(self):
@@ -187,6 +196,15 @@ class TestLowerTailBound:
         got = ip.lower_tail_bound(shape, ch, 1e-3, 5.0, z)
         expected = -math.expm1(-2.0 * math.pi * 1e-3 * math.exp(-z) / (2.0 * z))
         assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("z", [0.01, 0.1, 0.5])
+    def test_unit_fading_unbounded_region_cuts_at_threshold(self, z):
+        # constant shape: rbar = inf, so the step tail's cut radius
+        # r_cut = (1/z - c)^(1/alpha) bounds the disc alone
+        shape, alpha, c, lam = ip.constant_shape(1.0), 4.0, 1.0, 1e-3
+        got = ip.lower_tail_bound(shape, unit_channel(alpha, c), lam, 5.0, z)
+        r_cut = (1.0 / z - c) ** (1.0 / alpha)
+        assert got == pytest.approx(-math.expm1(-math.pi * lam * r_cut**2), rel=1e-13)
 
     def test_outside_region_propagates(self):
         shape = ip.scenario_scattered(1.0)

@@ -493,6 +493,51 @@ class TestSimulateCommand:
         assert "--what tail needs" in err
 
 
+def _refused(code, out, err, message):
+    # a refusal exits 2, writes no output and one 'isoppp:' line naming the fault
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("isoppp: ") and message in line
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name, text, message", [
+        ("a.json", '{"config": {}, "columns": []}', "JSON artifact is missing the 'rows' key"),
+        ("a.csv", "# {}\n", "CSV artifact has no header row"),
+        ("a.csv", "# {}\na,b\n1\n", "CSV artifact has ragged rows"),
+        ("a.csv", "# {}\nvalue\n0.1\n", "cell '0.1' does not round-trip"),
+    ], ids=["json-without-rows", "csv-without-header", "csv-ragged", "csv-cell-0.1"])
+    def test_replot_check(self, capsys, tmp_path, name, text, message):
+        artifact = tmp_path / name
+        artifact.write_text(text)
+        _refused(*run_cli(capsys, "replot-check", str(artifact)), message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["csma", "--delta", "1e-5", "--delta-db", "-50"],
+         "pass either --delta or --delta-db, not both"),
+        (["csma"], "--delta or --delta-db is required"),
+        (["mean", "--shape", "constant"], "--alpha is required for this command"),
+        (["simulate", "--shape", C100, "--alpha", "4", "--sweep", "y0=0:10:5"],
+         "simulate sweeps only the z axis"),
+    ], ids=["csma-both-thresholds", "csma-no-threshold", "mean-without-alpha",
+            "simulate-y0-sweep"])
+    def test_command(self, capsys, argv, message):
+        _refused(*run_cli(capsys, *argv), message)
+
+    def test_unknown_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["mean", "--shape", "constant", "--alpha", "4", "--bogus", "1"])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert [line for line in captured.err.splitlines() if line.startswith("isoppp:")] == [
+            "isoppp: error: unrecognized arguments: --bogus 1"]
+
+    def test_uncountable_sweep_names_its_spec(self, capsys):
+        spec = "y0=0:1e300:1e-300"
+        _refused(*run_cli(capsys, "mean", "--shape", "constant", "--alpha", "4", "--sweep", spec),
+                 repr(spec))
+
+
 class TestReplotCheck:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_roundtrip(self, capsys, tmp_path, fmt):

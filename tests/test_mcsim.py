@@ -366,6 +366,19 @@ def test_sim_config_validation():
         ip.SimConfig(trials=10, seed=1, max_radius_override=math.inf)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sim_config_seed_outside_64_bits(seed):
+    with pytest.raises(ip.DomainError, match="seed must be a nonnegative 64-bit integer"):
+        ip.SimConfig(trials=10, seed=seed)
+
+
+def test_simulate_needs_a_fading_sampler(scattered100):
+    channel = ip.ChannelModel(alpha=4, c=1.0, fading=ip.FadingLaw(kind="custom"))
+    with pytest.raises(ip.DomainError, match="fading law has no sampler"):
+        ip.simulate(scattered100, channel, ip.LinkConfig(1e-3, 0.0, 10.0, 0.5),
+                    ip.SimConfig(10, 1))
+
+
 def test_truncated_mean_takes_overflow_as_its_limit():
     # at alpha = 1e300 every d^alpha beyond unit distance overflows to inf,
     # where the path loss is 0; RuntimeWarnings are errors here

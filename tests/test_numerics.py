@@ -220,6 +220,10 @@ class TestIntegrateInterval:
         with pytest.raises(ip.DomainError, match="must be finite"):
             ip.integrate_interval(lambda x: x, a, b)
 
+    def test_rejects_reversed_bounds(self):
+        with pytest.raises(ip.DomainError, match="need a <= b"):
+            ip.integrate_interval(lambda x: x, 1.0, 0.0)
+
     def test_roundoff_floor_ends_a_cancelling_integral(self):
         # the exact value is 0, so no relative tolerance can be met; every
         # panel must instead stop once resolved to round-off

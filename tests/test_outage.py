@@ -87,6 +87,14 @@ class TestOutageApprox:
             ip.outage_approx(ip.constant_shape(1.0), ch, _link())
 
 
+@pytest.mark.parametrize("closed_form", [ip.outage_approx, ip.log_divergence])
+def test_custom_fading_rejected(closed_form):
+    fading = ip.FadingLaw.custom(lambda rng, n: rng.exponential(1.0, n))
+    ch = ip.ChannelModel(alpha=4, c=0.0, fading=fading)
+    with pytest.raises(ip.DomainError, match="assumes Rayleigh fading"):
+        closed_form(ip.constant_shape(1.0), ch, _link())
+
+
 class TestLogDivergence:
     def test_zero_for_constant_shapes(self):
         ch = rayleigh_channel(4, 0.0)

@@ -1,9 +1,12 @@
-"""Snapshot of the public surface: the names ``isoppp`` exports and the
-options of every CLI subcommand.  A change that adds or removes a public
-name or a command-line knob must update these lists, so it shows as a test
-diff."""
+"""Snapshot of the public surface: the names ``isoppp`` exports, the
+options of every CLI subcommand and the config keys each one echoes.  A
+change that adds or removes a public name, a command-line knob or an echoed
+key must update these lists, so it shows as a test diff."""
 
 import argparse
+import json
+
+import pytest
 
 import isoppp
 from isoppp import cli
@@ -42,6 +45,36 @@ COMMAND_OPTIONS = {
     "replot-check": [],
 }
 
+LINK_KEYS = ["alpha", "beta", "c", "command", "d", "eta_db", "fading", "lambda_scale", "shape",
+             "tol", "y0"]
+# the keys of each command's '# {json}' line; every command adds "sweep" with --sweep
+COMMAND_CONFIG_KEYS = {
+    "mean": LINK_KEYS,
+    "laplace": [*LINK_KEYS, "s"],
+    "outage": LINK_KEYS,
+    "divergence": LINK_KEYS,
+    "relerror": LINK_KEYS,
+    "capacity": [*LINK_KEYS, "epsilon"],
+    "fhds": ["beta", "command", "d", "m", "shape", "tol"],
+    "csma": ["alpha", "beta", "command", "d", "delta", "lambda_scale", "shape", "tol"],
+    "simulate": [*LINK_KEYS, "max_radius_override", "seed", "trials", "what"],
+}
+
+C100 = '{"scenario":"C","params":{"rho":100}}'
+# (arguments, sweep spec) that run each command cheaply
+CONFIG_FORMS = {
+    "mean": (["--shape", "constant", "--alpha", "4"], "y0=0:1:1"),
+    "laplace": (["--shape", "constant", "--alpha", "4"], "s=1:2:1"),
+    "outage": (["--shape", C100, "--alpha", "4"], "y0=0:1:1"),
+    "divergence": (["--shape", C100, "--alpha", "4"], "y0=0:1:1"),
+    "relerror": (["--shape", C100, "--alpha", "4"], "y0=0:1:1"),
+    "capacity": (["--shape", C100, "--alpha", "4", "--epsilon", "0.1"], "y0=0:1:1"),
+    "fhds": (["--shape", C100], "M=1:2:1"),
+    "csma": (["--delta-db", "-50"], "d=5:10:5"),
+    "simulate": (["--shape", C100, "--alpha", "4", "--trials", "10", "--what", "tail",
+                  "--z", "0.1"], "z=0.1:0.2:0.1"),
+}
+
 
 def test_public_names():
     assert sorted(isoppp.__all__) == PUBLIC_NAMES
@@ -55,3 +88,14 @@ def test_command_options():
         for name, p in sub.choices.items()
     }
     assert got == {name: sorted(opts) for name, opts in COMMAND_OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIG_KEYS))
+def test_command_config_keys(capsys, command):
+    argv, axis = CONFIG_FORMS[command]
+    for extra, keys in (([], COMMAND_CONFIG_KEYS[command]),
+                        (["--sweep", axis], [*COMMAND_CONFIG_KEYS[command], "sweep"])):
+        assert cli.main([command, *argv, *extra]) == 0
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head.startswith("# ")
+        assert sorted(json.loads(head[2:])) == sorted(keys)

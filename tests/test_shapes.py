@@ -247,6 +247,14 @@ class TestDescriptor:
         with pytest.raises(ip.InvalidScenarioParams):
             ip.from_descriptor({"scenario": "C", "params": {"rho": 1, "junk": 2}})
 
+    def test_missing_scenario_key(self):
+        with pytest.raises(ip.InvalidScenarioParams, match="needs a 'scenario' key"):
+            ip.from_descriptor({})
+
+    def test_params_must_be_a_mapping(self):
+        with pytest.raises(ip.InvalidScenarioParams, match="'params' must be a mapping"):
+            ip.from_descriptor({"scenario": "C", "params": [100]})
+
 
 def _hand_built(f):
     return ip.ShapeFunction(eval_f=lambda r: f(np.asarray(r, dtype=float)),
