@@ -264,8 +264,6 @@ def laplace_transform(
     _check_nonnegative(y0_norm=y0_norm, s=s)
     if channel.fading.kind != "rayleigh":
         raise DomainError("the interference Laplace transform assumes Rayleigh fading")
-    if s + channel.c <= 0:
-        raise DomainError("need s + c > 0")
     if s == 0.0:
         return 1.0
     if channel.alpha == 2 and not _mean_finite(shape, 2.0):

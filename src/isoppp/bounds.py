@@ -26,9 +26,9 @@ from .shapes import ShapeFunction
 # r F'(r) may fall by at most this much across two grid cells (half across one)
 _RF_DROP = 1e-12
 _PROBE_DOUBLINGS = 20
-# log step of the probe radii's second differences; a linear step there
-# (up to 5e8 times smaller than r) would lose the difference to rounding
-_LOG_STEP = 2.0**-8
+# the cell width at a probe radius r is r times this; the grid step there (up
+# to 5e8 times smaller than r) would lose the differences to rounding
+_PROBE_STEP = 2.0**-8
 _EPS = np.finfo(float).eps
 
 
@@ -48,14 +48,12 @@ class RadialRegion:
             prev_hi = hi
 
 
-def _convex_in_log_r(shape: ShapeFunction, r: np.ndarray) -> np.ndarray:
-    """Whether F(r e^t) is convex in t at t = 0: with d the log step,
-    (F(r e^d) - 2 F(r) + F(r e^-d)) / d is about the rise of r F' across the
-    step.  It may fall by half the drop tolerance, plus the rounding of F
-    (at most 1) in the difference."""
-    lower, mid, upper = (np.asarray(shape.eval_f(r * math.exp(k * _LOG_STEP)), dtype=float)
-                         for k in (-1, 0, 1))
-    return (upper - 2.0 * mid + lower) / _LOG_STEP >= -(0.5 * _RF_DROP + 4.0 * _EPS / _LOG_STEP)
+def _rf_rises(r, h, lower, mid, upper) -> np.ndarray:
+    """Whether r F' rises across the cell [r - h/2, r + h/2], from F at r - h,
+    r and r + h.  It may fall by half the drop tolerance, plus the rounding of
+    F (at most 1) in each difference."""
+    rise = ((r + 0.5 * h) * (upper - mid) - (r - 0.5 * h) * (mid - lower)) / h
+    return rise >= -(0.5 * _RF_DROP + 4.0 * _EPS * (r + h) / h)
 
 
 def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
@@ -78,24 +76,24 @@ def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
         raise DomainError("grid too fine for the requested radius range")
     h = grid_step
     grid = h * np.arange(1, n + 1)
-    # the rise of r F' across the cell [r - h/2, r + h/2], from F at the
-    # grid points r - h, r and r + h; F (at most 1) rounds in each difference
     values = np.asarray(shape.eval_f(h * np.arange(n + 2)), dtype=float)
-    lower, mid, upper = values[:-2], values[1:-1], values[2:]
-    rise = ((grid + 0.5 * h) * (upper - mid) - (grid - 0.5 * h) * (mid - lower)) / h
-    ok = rise >= -(0.5 * _RF_DROP + 4.0 * _EPS * (grid + h) / h)
+    ok = _rf_rises(grid, h, values[:-2], values[1:-1], values[2:])
     for knot in shape.knots:
         ok &= np.abs(grid - knot) > grid_step * (1.0 + 1e-9)
 
     # runs of ok as [start, stop) index pairs, from the edges of the padded mask
     edges = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
     probe = grid[-1] * 2.0 ** np.arange(1, _PROBE_DOUBLINGS + 1)
+    probe_h = _PROBE_STEP * probe
     intervals: list[tuple[float, float]] = []
     for start, stop in zip(edges[::2], edges[1::2]):
         lo = 0.0 if start == 0 else float(grid[start])
         hi = float(grid[stop - 1])
-        if stop == n and np.all(_convex_in_log_r(shape, probe)):
-            hi = math.inf
+        if stop == n:
+            lower, mid, upper = (np.asarray(shape.eval_f(probe + k * probe_h), dtype=float)
+                                 for k in (-1, 0, 1))
+            if np.all(_rf_rises(probe, probe_h, lower, mid, upper)):
+                hi = math.inf
         if lo < hi:  # a one-point run inside the grid has no width
             intervals.append((lo, hi))
     return RadialRegion(intervals=tuple(intervals))

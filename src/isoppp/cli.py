@@ -94,7 +94,7 @@ def _add_flags(p, flags, **defaults):
         dest = p.add_argument(name, **kwargs).dest
         if key:
             echo[dest] = key
-    p.set_defaults(echo=echo, **defaults)
+    p.set_defaults(echo=echo, parser=p, **defaults)
 
 
 def _resolve_shape(args) -> shapes.ShapeFunction:
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replot-check", help="verify a result file re-reads losslessly")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_replot_check)
+    p.set_defaults(handler=_cmd_replot_check, parser=p)
 
     return parser
 
@@ -418,8 +418,8 @@ def main(argv=None) -> int:
     args, rest = parser.parse_known_args(argv)
     if args.command == "sweep":  # 'sweep --task T --axis A ...' is 'T ... --sweep A'
         args, rest = parser.parse_known_args([args.task, *rest, "--sweep", args.axis])
-    if rest:
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    if rest:  # the command's own usage, the task's for the sweep alias
+        args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.handler(args)
     except (DivergentIntegral, NoFiniteTruncation) as exc:

@@ -251,22 +251,20 @@ def campbell_outage(shape, alpha, c, lam, y0, s, eta, beta):
     L_I(s) = exp(-lam int_0^R r F(r) int_0^{2pi} s / (s + c + dist^alpha) dphi dr)
     for a compactly supported shape with support end R; the radial integral
     breaks at the shape knots.  ``eta`` is the linear mean SNR (``math.inf``
-    for a noise-free link) and ``beta`` the SINR threshold.
+    for a noise-free link) and ``beta`` the SINR threshold.  The squared
+    distance is (r - y0)^2 + 4 r y0 sin^2(phi/2): the law-of-cosines form
+    cancels near r = y0, phi = 0, and QUADPACK then reports roundoff.
     """
     if shape.tail.kind is not ip.TailKind.COMPACT_SUPPORT:
         raise ValueError("campbell_outage needs a compactly supported shape")
     r_end = shape.tail.param
 
     def radial(r):
-        val, _ = quad(
-            lambda phi: s
-            / (s + c + (r * r + y0 * y0 - 2.0 * r * y0 * math.cos(phi)) ** (alpha / 2.0)),
-            0.0,
-            math.pi,
-            epsabs=0.0,
-            epsrel=1e-13,
-            limit=200,
-        )
+        def angular(phi):
+            dist2 = (r - y0) ** 2 + 4.0 * r * y0 * math.sin(0.5 * phi) ** 2
+            return s / (s + c + dist2 ** (alpha / 2.0))
+
+        val, _ = quad(angular, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
         return 2.0 * r * float(shape.eval_f(r)) * val
 
     inner = [k for k in shape.knots if 0.0 < k < r_end]

@@ -204,8 +204,9 @@ class TestMeanInterference:
 
 class TestLaplaceTransform:
     def test_unity_at_zero(self):
-        ch = rayleigh_channel(4, 1.0)
-        assert ip.laplace_transform(ip.scenario_scattered(5.0), ch, 1e-3, 2.0, 0.0) == 1.0
+        for c in (1.0, 0.0):
+            ch = rayleigh_channel(4, c)
+            assert ip.laplace_transform(ip.scenario_scattered(5.0), ch, 1e-3, 2.0, 0.0) == 1.0
 
     def test_stationary_zero_c_closed_form(self):
         ch = rayleigh_channel(4, 0.0)

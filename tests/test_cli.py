@@ -465,12 +465,17 @@ class TestRefusals:
         _refused(*run_cli(capsys, *argv), message)
 
     def test_unknown_option(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["mean", "--shape", "constant", "--alpha", "4", "--bogus", "1"])
-        captured = capsys.readouterr()
-        assert (info.value.code, captured.out) == (2, "")
-        assert [line for line in captured.err.splitlines() if line.startswith("isoppp:")] == [
-            "isoppp: error: unrecognized arguments: --bogus 1"]
+        # reported with the usage of the command it was passed to; for the
+        # sweep alias, of the task
+        for argv, prog in ((["mean", "--shape", "constant", "--alpha", "4"], "isoppp mean"),
+                           (["sweep", "--task", "csma", "--axis", "d=5:10:5", "--delta", "1e-5"],
+                            "isoppp csma")):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--bogus", "1"])
+            captured = capsys.readouterr()
+            assert (info.value.code, captured.out) == (2, "")
+            assert captured.err.startswith(f"usage: {prog} [-h]")
+            assert captured.err.endswith(f"\n{prog}: error: unrecognized arguments: --bogus 1\n")
 
     def test_uncountable_sweep_names_its_spec(self, capsys):
         spec = "y0=0:1e300:1e-300"

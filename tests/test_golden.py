@@ -1,16 +1,13 @@
-"""The fixed-behaviour corpus: every CLI call in ``golden/forms.txt``, with
-its exit code, stdout and stderr recorded in ``golden/<command>-<hash>.txt``.
-
-The test runs each form through ``cli.main`` in-process and fails on the
-first line that differs from the record, the version header included, so a
-record made under other Python or numpy versions fails rather than skips.
-
-Running this file as a script is the only way to write the records:
+"""The fixed-behaviour corpus: each CLI call listed in ``golden/forms.txt``
+runs through ``cli.main`` in-process, and its exit code, stdout and stderr
+must equal the record ``golden/<command>-<hash>.txt`` line for line.  A
+record's header names the Python and numpy versions it was made with, so
+other versions fail rather than skip.  Running this file as a script,
 
     PYTHONPATH=src python tests/test_golden.py
 
-It rewrites every record, deletes records of forms no longer listed, and
-prints the forms whose output changed.
+is the only way to write the records: it rewrites them, deletes those of
+forms no longer listed, and prints each form whose output changed.
 """
 
 import contextlib
@@ -29,13 +26,9 @@ import numpy as np
 from isoppp import cli
 
 GOLDEN = Path(__file__).with_name("golden")
-FORMS_FILE = GOLDEN / "forms.txt"
 HEADER = f"# python {platform.python_version()} numpy {np.__version__}"
-
-
-def read_forms():
-    lines = FORMS_FILE.read_text(encoding="utf-8").splitlines()
-    return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+FORMS = [shlex.split(line) for line in (GOLDEN / "forms.txt").read_text("utf-8").splitlines()
+         if line.strip() and not line.startswith("#")]
 
 
 def record_path(argv):
@@ -58,27 +51,21 @@ def render(argv):
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
-FORMS = read_forms()
+def first_difference(argv):
+    """None, or the form and its first line that differs from its record."""
+    path = record_path(argv)
+    want = path.read_text("utf-8").split("\n") if path.exists() else []
+    for number, (now, recorded) in enumerate(zip_longest(render(argv).split("\n"), want), 1):
+        if now != recorded:
+            return (f"isoppp {shlex.join(argv)} ({path.name}) differs at line {number}:\n"
+                    f"  recorded: {recorded!r}\n  now:      {now!r}")
 
 
 def test_one_record_per_form():
     paths = [record_path(argv) for argv in FORMS]
     assert len(set(paths)) == len(paths), "forms.txt lists a form twice"
-    assert sorted(GOLDEN.glob("*-*.txt")) == sorted(paths)
-
-
-def first_difference(argv):
-    """None, or the form and its first line that differs from its record."""
-    path = record_path(argv)
-    if not path.exists():
-        return f"isoppp {shlex.join(argv)}: no record {path.name}"
-    want = path.read_text(encoding="utf-8").split("\n")
-    got = render(argv).split("\n")
-    for number, (now, recorded) in enumerate(zip_longest(got, want), 1):
-        if now != recorded:
-            return (f"isoppp {shlex.join(argv)} ({path.name}) differs at line {number}:\n"
-                    f"  recorded: {recorded!r}\n  now:      {now!r}")
-    return None
+    stale = sorted(path.name for path in set(GOLDEN.glob("*-*.txt")) - set(paths))
+    assert not stale, f"records of no listed form: {stale}; run tests/test_golden.py"
 
 
 def test_forms_match_records():
@@ -88,14 +75,11 @@ def test_forms_match_records():
 
 
 if __name__ == "__main__":
-    paths = set()
     for argv in FORMS:
-        path = record_path(argv)
-        paths.add(path)
-        text = render(argv)
-        if not path.exists() or path.read_text(encoding="utf-8") != text:
+        path, text = record_path(argv), render(argv)
+        if not path.exists() or path.read_text("utf-8") != text:
             print(f"{'changed' if path.exists() else 'new'}: isoppp {shlex.join(argv)}")
-            path.write_text(text, encoding="utf-8")
-    for stale in sorted(set(GOLDEN.glob("*-*.txt")) - paths):
+            path.write_text(text, "utf-8")
+    for stale in sorted(set(GOLDEN.glob("*-*.txt")) - {record_path(argv) for argv in FORMS}):
         print(f"deleted: {stale.name}")
         stale.unlink()

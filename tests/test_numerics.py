@@ -250,6 +250,17 @@ class TestIntegrateInterval:
         assert not res.converged
         assert res.evaluations == 15
 
+    def test_one_ulp_panel_retires_its_error(self):
+        # the sqrt kink at 1 drives bisection down to the panel [1, 1 + ulp],
+        # whose nodes round to 1 and to the float below it; the step there
+        # leaves an error estimate that halving cannot reduce, so the panel
+        # keeps its value and its error is retired
+        res = ip.integrate_interval(lambda x: (x >= 1.0) * (1.0 + np.sqrt(np.abs(x - 1.0))),
+                                    1.0, 2.0, 1e-20)
+        assert res.converged
+        assert res.value == pytest.approx(5.0 / 3.0, rel=4.0 * np.finfo(float).eps)
+        assert res.evaluations <= 31_000
+
     def test_exhausting_the_default_budget_takes_seconds(self):
         # this integral misses its tolerance within the default budget; a
         # re-sum of every panel after each bisection made that cost O(panels^2)
