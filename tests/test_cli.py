@@ -140,11 +140,58 @@ class TestSweep:
         _, _, rows = parse_csv(out1)
         assert rows and all(r[-1] == "" for r in rows)
 
+    def test_workers_preserve_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "outage", "--shape", '{"scenario":"C","params":{"rho":100}}',
+            "--alpha", "4", "--c", "1", "--d", "10", "--beta", "0.5",
+            "--sweep", "y0=0:400:40",
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        axis = [float(r[0]) for r in rows]
+        assert axis == sorted(axis)
+        code2, out2, _ = run_cli(
+            capsys, "outage", "--shape", '{"scenario":"C","params":{"rho":100}}',
+            "--alpha", "4", "--c", "1", "--d", "10", "--beta", "0.5",
+            "--sweep", "y0=0:400:40",
+        )
+        assert out2 == out
+
     def test_invalid_axis_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "mean", "--shape", "constant", "--alpha", "4", "--sweep", "d=0:10:1",
         )
         assert code == 2
+
+
+LINK_KEYS = {"alpha", "beta", "c", "command", "d", "eta_db", "fading", "lambda_scale", "shape",
+             "tol", "y0"}
+CONFIG_KEYS = {
+    "mean": LINK_KEYS,
+    "laplace": LINK_KEYS | {"s"},
+    "outage": LINK_KEYS,
+    "divergence": LINK_KEYS,
+    "relerror": LINK_KEYS,
+    "capacity": LINK_KEYS | {"epsilon"},
+    "fhds": {"beta", "command", "d", "m", "shape", "tol"},
+    "csma": {"alpha", "beta", "command", "d", "delta", "lambda_scale", "shape", "tol"},
+}
+
+
+class TestConfigEcho:
+    """The config keys each analytic command echoes are its reproducibility
+    contract: pinned for single values and sweeps, in CSV and JSON."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("task,argv,axis", SWEEP_FORMS, ids=[f[0] for f in SWEEP_FORMS])
+    def test_config_keys(self, capsys, task, argv, axis, fmt):
+        for extra, keys in (([], CONFIG_KEYS[task]),
+                            (["--sweep", axis], CONFIG_KEYS[task] | {"sweep"})):
+            code, out, err = run_cli(capsys, task, *argv, *extra, "--format", fmt)
+            assert code == 0, err
+            config = json.loads(out)["config"] if fmt == "json" else parse_csv(out)[0]
+            assert set(config) == keys
+            assert config["command"] == task
 
 
 class TestOtherCommands:
@@ -336,6 +383,19 @@ def test_import_path_skips_scipy_stats():
 
 
 class TestSimulateCommand:
+    def test_reproducible_csv_bytes(self, capsys, tmp_path):
+        args = [
+            "simulate", "--shape", '{"scenario":"C","params":{"rho":100}}',
+            "--alpha", "2", "--c", "1", "--lambda", "1e-3",
+            "--trials", "300", "--seed", "42", "--what", "outage",
+            "--d", "10", "--beta", "0.5",
+        ]
+        out_a = tmp_path / "a.csv"
+        out_b = tmp_path / "b.csv"
+        assert main(args + ["--out", str(out_a)]) == 0
+        assert main(args + ["--out", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
     def test_tail_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--shape", '{"scenario":"C","params":{"rho":100}}',
