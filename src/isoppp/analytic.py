@@ -4,8 +4,9 @@ The mean interference at a receiver offset ``y0`` from the network centre
 factors as ``lambda * A_alpha(y0, c)`` where the driving function
 ``A_alpha`` depends only on the deployment shape, the receiver offset and
 the path-loss constant.  It is computed as Campbell's radial integral
-``int_0^inf r F(r) K_alpha(r) dr`` with the closed-form angular kernels of
-``numerics``; its integrand is positive, so the result is accurate to a
+``int_0^inf r F(r) K_alpha(r) dr`` with the angular kernels of ``numerics``
+(closed forms at alpha 2 and 4, a Gauss-Legendre rule at every other alpha
+up to 9); its integrand is positive, so the result is accurate to a
 relative tolerance at every offset.  The paper's by-parts forms are kept
 as test oracles (``tests/conftest.py``), and frozen values in
 ``tests/test_analytic.py`` pin the equivalence.
@@ -17,6 +18,7 @@ outage probabilities and throughput metrics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import (DivergentIntegral, DomainError, NumericOverflow, UnsupportedAlpha,
                      _check_finite, _check_nonnegative, _check_positive)
 from .numerics import (IntegralResult, _converged, _kernel_alpha2, _kernel_alpha4,
-                       integrate_semi_infinite)
+                       _kernel_angular, integrate_semi_infinite)
 from .shapes import ShapeFunction, TailKind
 
 # placeholders: perfbench/tracer.py wraps these names but never calls them;
@@ -139,7 +141,9 @@ def _mean_finite(shape: ShapeFunction, alpha: float) -> bool:
     )
 
 
+# closed forms; other exponents take _kernel_angular, within 1e-12 up to _ALPHA_MAX
 _KERNELS = {2: _kernel_alpha2, 4: _kernel_alpha4}
+_ALPHA_MAX = 9.0
 # offsets beyond this many kernel peak widths c^(1/alpha) are refused: one ulp
 # of y0 is then 1e-6 of a width, and node rounding costs ~1e-8 of the value
 _MAX_PEAK_WIDTHS = 1e10
@@ -179,7 +183,7 @@ def _radial(shape: ShapeFunction, y0_norm: float, c: float, alpha: float, weight
             f"offset y0={y0_norm:g} exceeds {_MAX_PEAK_WIDTHS:g} kernel peak widths "
             f"c^(1/alpha)={width:g}: the peak at r = y0 is not resolved in double precision"
         )
-    kernel = _KERNELS[alpha]
+    kernel = _KERNELS.get(alpha) or functools.partial(_kernel_angular, alpha=alpha)
 
     def integrand(r):
         return r * weight(r) * kernel(r, c, y0_norm)
@@ -203,18 +207,18 @@ def _doublings(start: float, end: float) -> np.ndarray:
 def interference_driving(
     shape: ShapeFunction, y0_norm: float, c: float, alpha: float, tol: float = 1e-10
 ) -> IntegralResult:
-    """A_alpha(y0, c) = int_0^inf r F(r) K_alpha(r) dr for alpha in {2, 4}.
+    """A_alpha(y0, c) = int_0^inf r F(r) K_alpha(r) dr for alpha in [2, 9].
 
     ``tol`` is relative.  Raises UnsupportedAlpha for other exponents and
     DivergentIntegral at alpha = 2 unless the shape decays at least like a
-    power law; at alpha = 4 the integral is finite for every shape.
+    power law; above 2 the integral is finite for every shape.
     """
     _check_positive(c=c)
     _check_nonnegative(y0_norm=y0_norm)
-    if alpha not in _KERNELS:
+    if not 2 <= alpha <= _ALPHA_MAX:
         raise UnsupportedAlpha(
-            f"closed forms exist only for path-loss exponents 2 and 4, got {alpha}; "
-            "use the Monte-Carlo engine or the tail bounds instead"
+            f"the mean needs a path-loss exponent in [2, {_ALPHA_MAX:g}], got {alpha}; use the "
+            "Monte-Carlo engine with a sampling radius (max_radius_override, --max-radius)"
         )
     if not _mean_finite(shape, alpha):
         raise DivergentIntegral(
@@ -233,8 +237,8 @@ def mean_interference(
 ) -> IntegralResult:
     """Mean interference lambda * A_alpha(y0, c); fading-independent.
 
-    Raises UnsupportedAlpha for alpha outside {2, 4} and DivergentIntegral
-    when the alpha = 2 mean does not exist for this shape.
+    Raises UnsupportedAlpha for alpha above 9 and DivergentIntegral when the
+    alpha = 2 mean does not exist for this shape.
     """
     _check_positive(lambda_scale=lambda_scale)
     a = interference_driving(shape, y0_norm, channel.c, channel.alpha, tol)

@@ -68,12 +68,11 @@ def subharmonic_region(shape: ShapeFunction, grid_step: float) -> RadialRegion:
     width and is dropped, unless it starts at the origin or reaches infinity.
     """
     _check_positive(grid_step=grid_step)
+    # at least 9 cells, as r_max >= 10 grid_step; inf where a step overflows
     r_max = max(2.0 * shape.scale, 10.0 * grid_step, 1.2 * max(shape.knots, default=0.0))
-    n = int(math.floor(r_max / grid_step))
-    if n < 4:
-        raise DomainError("grid too coarse for the requested radius range")
-    if n > 2 * 10**6:
+    if not r_max / grid_step < 2 * 10**6 + 1:
         raise DomainError("grid too fine for the requested radius range")
+    n = int(math.floor(r_max / grid_step))
     h = grid_step
     grid = h * np.arange(1, n + 1)
     values = np.asarray(shape.eval_f(h * np.arange(n + 2)), dtype=float)

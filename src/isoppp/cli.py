@@ -352,9 +352,7 @@ def _cmd_replot_check(args) -> int:
         for key in ("config", "columns", "rows"):
             if key not in payload:
                 raise DomainError(f"JSON artifact is missing the {key!r} key")
-        if json.loads(json.dumps(payload)) != payload:
-            raise DomainError("JSON artifact does not round-trip")
-        return EXIT_OK
+        return EXIT_OK  # what json.loads returns, json.dumps writes back unchanged
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# "):
         raise DomainError("CSV artifact is missing its '# {json}' config line")

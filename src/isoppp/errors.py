@@ -17,7 +17,8 @@ class InvalidScenarioParams(DomainError):
 
 
 class UnsupportedAlpha(DomainError):
-    """Closed forms exist only for path-loss exponents 2 and 4."""
+    """The path-loss exponent lies outside what an operation serves: the mean
+    and everything built on it take [2, 9]; some closed forms take one alpha."""
 
 
 class RequiresZeroC(DomainError):

@@ -22,9 +22,9 @@ tail, the outage coins of all trials, so a fixed (seed, trials, config)
 gives a bit-identical outcome.  The guide and block sizes do not enter
 it: the outcome is the same at any size.
 The sampling disc is the smallest doubling radius whose neglected mean is
-at most 1e-3 of the mean interference (``SimConfig.max_radius_override``
-sets it directly instead).  Truncation is never silent: the neglected-mean
-bound is reported in the outcome and consumers add it to their tolerances.
+at most 1e-3 of the exact mean, ``interference_driving`` at alpha <= 9
+(``SimConfig.max_radius_override`` sets it at any alpha).  Truncation is
+never silent: the neglected-mean bound is reported and consumers add it.
 """
 
 from __future__ import annotations
@@ -130,26 +130,6 @@ def _tail_mean_bound(shape: ShapeFunction, channel: ChannelModel, y0_norm: float
     return 2.0 * math.pi * integ.value
 
 
-def _truncated_mean_per_intensity(
-    shape: ShapeFunction, channel: ChannelModel, y0_norm: float, radius: float
-) -> float:
-    """Mean interference (per unit intensity) from the disc of ``radius``,
-    by polar quadrature with a trigonometric angular average."""
-    alpha, c = channel.alpha, channel.c
-    phi = (np.arange(128) + 0.5) * (math.pi / 128.0)
-    cos_phi = np.cos(phi)
-
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        d2 = r[:, None] ** 2 + y0_norm**2 - 2.0 * r[:, None] * y0_norm * cos_phi[None, :]
-        with np.errstate(over="ignore"):  # d^alpha = inf gives the limit 0
-            avg = np.mean(1.0 / (c + d2 ** (alpha / 2.0)), axis=1)
-        return 2.0 * math.pi * r * np.asarray(shape.eval_f(r), dtype=float) * avg
-
-    return _converged(integrate_interval(fn, 0.0, radius, 1e-9, knots=shape.knots),
-                      "truncated-mean")
-
-
 def truncation_radius(shape: ShapeFunction, channel: ChannelModel,
                       y0_norm: float) -> TruncationResult:
     """Smallest candidate radius (doubling from max(2 scale, 2 y0, 1)) whose
@@ -157,8 +137,8 @@ def truncation_radius(shape: ShapeFunction, channel: ChannelModel,
 
     Compactly supported shapes truncate exactly at their support end.
     Raises NoFiniteTruncation when the mean itself is infinite (alpha = 2
-    with a non-decaying or log-decaying density); use a radius override to
-    simulate such regimes anyway.
+    with a non-decaying or log-decaying density) and UnsupportedAlpha above
+    alpha = 9; use a radius override to simulate such regimes anyway.
     """
     if shape.support_end is not None:
         return TruncationResult(radius=shape.support_end, mean_tail_bound_per_intensity=0.0)
@@ -172,22 +152,12 @@ def truncation_radius(shape: ShapeFunction, channel: ChannelModel,
             "unbounded path loss (c = 0) has no finite-mean truncation "
             "reference; pass a radius override to simulate it anyway"
         )
-    reference = None
-    if channel.alpha in (2, 4):
-        reference = _converged(
-            interference_driving(shape, y0_norm, channel.c, channel.alpha, 1e-9),
-            "truncation reference",
-        )
-
+    reference = _converged(interference_driving(shape, y0_norm, channel.c, channel.alpha, 1e-9),
+                           "truncation reference")
     radius = max(2.0 * shape.scale, 2.0 * y0_norm, 1.0)
     for _ in range(60):
         bound = _tail_mean_bound(shape, channel, y0_norm, radius)
-        ref = (
-            reference
-            if reference is not None
-            else _truncated_mean_per_intensity(shape, channel, y0_norm, radius)
-        )
-        if bound <= _TRUNCATION_FRACTION * ref:
+        if bound <= _TRUNCATION_FRACTION * reference:
             return TruncationResult(radius=radius, mean_tail_bound_per_intensity=bound)
         radius *= 2.0
     raise NoFiniteTruncation("tail bound did not drop below tolerance within 60 doublings")

@@ -4,11 +4,12 @@ The driving function ``A_alpha(y0, c) = int_0^inf r F(r) K_alpha(r) dr`` of
 ``analytic`` integrates the angular kernel
 ``K_alpha(r) = int_0^{2 pi} dphi / (c + d^alpha)``,
 ``d^2 = r^2 + y0^2 - 2 r y0 cos(phi)``, which has a closed form for
-alpha in {2, 4} (``_kernel_alpha2``, ``_kernel_alpha4``).  Both kernels are
-positive, so the integrand is too and a relative stopping test is safe.
-The paper's by-parts forms of A_2 and A_4, and their asinh and arctan
-kernels, are kept as test oracles (``tests/conftest.py``); frozen values in
-``tests/test_analytic.py`` pin the equivalence.
+alpha in {2, 4} (``_kernel_alpha2``, ``_kernel_alpha4``); every other
+exponent takes a composite Gauss-Legendre rule in phi/2 (``_kernel_angular``).
+All kernels are positive, so the integrand is too and a relative stopping
+test is safe.  The paper's by-parts forms of A_2 and A_4, and their asinh
+and arctan kernels, are kept as test oracles (``tests/conftest.py``); frozen
+values in ``tests/test_analytic.py`` pin the equivalence.
 
 Integrals run through an adaptive Gauss-Kronrod 7/15 scheme with a relative
 tolerance and a QUADPACK round-off floor (Piessens et al., *QUADPACK*,
@@ -17,6 +18,7 @@ tolerance and a QUADPACK round-off floor (Piessens et al., *QUADPACK*,
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -32,8 +34,9 @@ MAX_EVALUATIONS = 10**6
 _EPS = float(np.finfo(float).eps)
 _ROUNDOFF = 50.0 * _EPS
 
-# 15-point Kronrod extension of the 7-point Gauss rule (nodes symmetric
-# about 0 on [-1, 1]; the Gauss nodes are every second Kronrod node).
+# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1] (the Gauss
+# nodes are every second Kronrod node); both rules are symmetric about 0, so
+# each table lists its half from -1 to 0 and is mirrored
 _XGK = np.array([
     -0.991455371120812639206854697526329,
     -0.949107912342758524526189684047851,
@@ -43,14 +46,8 @@ _XGK = np.array([
     -0.405845151377397166906606412076961,
     -0.207784955007898467600689403773245,
     0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
 ])
+_XGK = np.concatenate((_XGK, -_XGK[-2::-1]))
 _WGK = np.array([
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
@@ -60,23 +57,15 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
 ])
+_WGK = np.concatenate((_WGK, _WGK[-2::-1]))
 _WG = np.array([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
 ])
+_WG = np.concatenate((_WG, _WG[-2::-1]))
 
 
 @dataclass(frozen=True)
@@ -130,6 +119,37 @@ def _kernel_alpha4(r, c: float, y0_norm: float):
     return math.pi * (t1 + t2) / np.sqrt(t1) / np.sqrt(t2) / m1 / m2
 
 
+@functools.cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights: Newton on P_16 from Tricomi's guesses."""
+    x = -np.cos(math.pi * (np.arange(16) + 0.75) / 16.5)
+    for _ in range(5):  # the weights 2 / ((1 - x^2) P_16'(x)^2) at the last step's x
+        p0, p1 = np.ones_like(x), x
+        for n in range(2, 17):
+            p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
+        dp = 16.0 * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+        x, w = x - p1 / dp, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return x, w
+
+
+def _kernel_angular(r, c: float, y0_norm: float, alpha: float):
+    """K_alpha = 4 int_0^{pi/2} dpsi / (c + d^alpha), d^2 = (r - y0)^2 + 4 r y0 sin^2 psi, by
+    16-point Gauss-Legendre panels halving from pi/2 to 1/64 of the peak width
+    h = sqrt(((r - y0)^2 + c^(2/alpha)) / (4 r y0)); unchecked; d^alpha = inf gives 0."""
+    x, w = _gauss_legendre()
+    r = np.asarray(r, dtype=float)[..., None]
+    with np.errstate(divide="ignore", over="ignore"):
+        h = np.hypot(r - y0_norm, c ** (1.0 / alpha)) / (2.0 * np.sqrt(r) * math.sqrt(y0_norm))
+        halvings = np.maximum(np.frexp(32.0 * math.pi / h)[1], 0)  # 2^halvings >= 32 pi / h
+        # edges pi/2 2^-k for k up to halvings, repeated after it (empty panels), then 0
+        edges = 0.5 * math.pi * 0.5 ** np.minimum(np.arange(halvings.max() + 2), halvings)
+        edges[..., -1] = 0.0
+        half = 0.5 * edges[..., :-1] - 0.5 * edges[..., 1:]
+        psi = (edges[..., :-1] - half)[..., None] + half[..., None] * x
+        d2 = (r - y0_norm)[..., None] ** 2 + 4.0 * (r * y0_norm)[..., None] * np.sin(psi) ** 2
+        return 4.0 * np.sum(half * ((1.0 / (c + d2 ** (0.5 * alpha))) @ w), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod engine
 # ---------------------------------------------------------------------------
@@ -137,8 +157,8 @@ def _kernel_alpha4(r, c: float, y0_norm: float):
 
 def _gk15(fn, a: float, b: float):
     """One Gauss-Kronrod 7/15 panel on [a, b]: (value, error, integral of |f|)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid = 0.5 * a + 0.5 * b  # halving first: a + b may overflow
+    half = 0.5 * b - 0.5 * a
     y = np.asarray(fn(mid + half * _XGK), dtype=float)
     k = half * float(_WGK @ y)
     g = half * float(_WG @ y[1:14:2])
@@ -150,19 +170,23 @@ def _adaptive(pieces, tol: float, max_evals: int) -> IntegralResult:
 
     Panels resolved to round-off are done; so is the whole integral once
     every panel is.  A non-finite panel stops the loop unconverged.  The
-    stopping test runs on running sums, widened by a bound on their rounding
-    drift, and a stop is confirmed on exact ``math.fsum`` sums, so the panels
-    bisected are those that exact sums after every bisection would choose.
+    stopping test runs on running sums, each widened by a bound on its own
+    rounding drift, and a stop is confirmed on exact ``math.fsum`` sums, so the
+    panels bisected are those that exact sums after every bisection would
+    choose.  The error sum's drift scales with the error, not the value, so at
+    a tolerance near eps a confirmation that fails is rare.
     """
     _check_positive(tol=tol)
     heap = []  # (-error, serial, a, b, value, error, fn); key 0.0 marks a done panel
     serial = 0
     evals = 0
     total = total_err = 0.0
-    drift = 0.0  # sum of |running sums| after each update: rounding <= eps/2 drift
+    # sums of |total| and of |total_err| after each update: each running sum's
+    # rounding is at most eps/2 times its drift
+    drift = drift_err = 0.0
 
     def push(fn, a, b):
-        nonlocal serial, evals, total, total_err, drift
+        nonlocal serial, evals, total, total_err, drift, drift_err
         val, err, resabs = _gk15(fn, a, b)
         key = 0.0 if err <= _ROUNDOFF * resabs else -err
         heapq.heappush(heap, (key, serial, a, b, val, err, fn))
@@ -170,7 +194,8 @@ def _adaptive(pieces, tol: float, max_evals: int) -> IntegralResult:
         evals += 15
         total += val
         total_err += err
-        drift += abs(total) + total_err
+        drift += abs(total)
+        drift_err += abs(total_err)
 
     def exact():
         return math.fsum(item[4] for item in heap), math.fsum(item[5] for item in heap)
@@ -183,10 +208,10 @@ def _adaptive(pieces, tol: float, max_evals: int) -> IntegralResult:
         if not math.isfinite(total_err):
             # a non-finite integrand value: bisecting around it cannot help
             return IntegralResult(math.nan, math.inf, False, evals)
-        slack = 4.0 * _EPS * drift
-        if total_err - slack <= tol * (abs(total) + slack) * (1.0 + _EPS) or heap[0][0] == 0.0:
+        if (total_err - 4.0 * _EPS * drift_err <= tol * (abs(total) + 4.0 * _EPS * drift)
+                * (1.0 + _EPS) or heap[0][0] == 0.0):
             total, total_err = exact()
-            drift = abs(total) + total_err
+            drift, drift_err = abs(total), total_err
             if total_err <= tol * abs(total) or heap[0][0] == 0.0:
                 return IntegralResult(total, total_err, True, evals)
         if evals + 30 > max_evals:
@@ -194,8 +219,9 @@ def _adaptive(pieces, tol: float, max_evals: int) -> IntegralResult:
         _, _, a, b, val, err, fn = heapq.heappop(heap)
         total -= val
         total_err -= err
-        drift += abs(total) + total_err
-        mid = 0.5 * (a + b)
+        drift += abs(total)
+        drift_err += abs(total_err)
+        mid = 0.5 * a + 0.5 * b
         if mid <= a or mid >= b:
             # interval is at double-precision resolution: keep its value and
             # retire its (sub-ulp) error so the loop cannot spin on it

@@ -199,43 +199,46 @@ def brute_angular_alpha4(r, c, y0):
     return val
 
 
-def campbell_mean(shape, alpha, c, lam, y0, r_hi):
-    """Mean interference by planar polar quadrature (Campbell route).
+def angular_oracle(r, c, y0, alpha):
+    """K_alpha = 4 int_0^{pi/2} dpsi / (c + dist^alpha) by QUADPACK, dist^2 =
+    (r - y0)^2 + 4 r y0 sin^2 psi, split at h 2^k around the peak width
+    h = sqrt(((r - y0)^2 + c^(2/alpha)) / (4 r y0)); r y0 > 0."""
 
-    lam * int_0^r_hi r F(r) int_0^{2pi} dphi / (c + dist^alpha) dr, with the
-    angular integral done by QUADPACK and the radial one by fixed-order
-    Gauss-Legendre panels between the shape knots.
+    def f(psi):
+        return 1.0 / (c + ((r - y0) ** 2 + 4.0 * r * y0 * math.sin(psi) ** 2) ** (0.5 * alpha))
+
+    h = math.sqrt(((r - y0) ** 2 + c ** (2.0 / alpha)) / (4.0 * r * y0))
+    points = [h * 2.0**k for k in range(-8, 8) if h * 2.0**k < 0.5 * math.pi]
+    val, _ = quad(f, 0.0, 0.5 * math.pi, points=points or None, epsabs=0.0, epsrel=1e-13,
+                  limit=500)
+    return 4.0 * val
+
+
+def campbell_mean(shape, alpha, c, lam, y0, r_hi):
+    """Mean interference lam * int_0^r_hi r F(r) int_0^{2pi} dphi / (c + dist^alpha) dr
+    by nested QUADPACK (Campbell route, ``_campbell``)."""
+    return lam * _campbell(shape, alpha, c, y0, r_hi)
+
+
+def _campbell(shape, alpha, c, y0, r_hi):
+    """int_0^r_hi r F(r) int_0^{2pi} dphi / (c + dist^alpha) dr by nested QUADPACK.
+
+    The squared distance is (r - y0)^2 + 4 r y0 sin^2(phi/2): the
+    law-of-cosines form cancels near r = y0, phi = 0, and QUADPACK then
+    reports roundoff.  The radial integral breaks at y0 and the shape knots.
     """
 
     def radial(r):
-        if alpha == 2:
-            ang = 2.0 * brute_angular_alpha2(r, c, y0)
-        elif alpha == 4:
-            # brute_angular_alpha4 integrates 2r/(...) over a half circle
-            ang = brute_angular_alpha4(r, c, y0) / r
-        else:
-            val, _ = quad(
-                lambda phi: 1.0
-                / (c + (r * r + y0 * y0 - 2.0 * r * y0 * math.cos(phi)) ** (alpha / 2.0)),
-                0.0,
-                math.pi,
-                epsabs=1e-13,
-                epsrel=1e-13,
-            )
-            ang = 2.0 * val
-        return r * float(shape.eval_f(r)) * ang
+        def angular(phi):
+            dist2 = (r - y0) ** 2 + 4.0 * r * y0 * math.sin(0.5 * phi) ** 2
+            return 1.0 / (c + dist2 ** (alpha / 2.0))
 
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    edges = sorted(
-        {0.0, r_hi}
-        | {k for k in shape.knots if k < r_hi}
-        | set(np.geomspace(shape.scale / 8.0, r_hi, 40)[:-1])
-    )
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * sum(w * radial(mid + half * x) for x, w in zip(nodes, weights))
-    return lam * total
+        val, _ = quad(angular, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+        return 2.0 * r * float(shape.eval_f(r)) * val
+
+    inner = sorted({k for k in (*shape.knots, y0) if 0.0 < k < r_hi})
+    total, _ = quad(radial, 0.0, r_hi, points=inner or None, epsabs=0.0, epsrel=1e-13, limit=200)
+    return total
 
 
 def compact_mass(shape):
@@ -248,28 +251,14 @@ def compact_mass(shape):
 def campbell_outage(shape, alpha, c, lam, y0, s, eta, beta):
     """Rayleigh outage 1 - exp(-beta/eta) L_I(s) by nested QUADPACK (Campbell route).
 
-    L_I(s) = exp(-lam int_0^R r F(r) int_0^{2pi} s / (s + c + dist^alpha) dphi dr)
-    for a compactly supported shape with support end R; the radial integral
-    breaks at the shape knots.  ``eta`` is the linear mean SNR (``math.inf``
-    for a noise-free link) and ``beta`` the SINR threshold.  The squared
-    distance is (r - y0)^2 + 4 r y0 sin^2(phi/2): the law-of-cosines form
-    cancels near r = y0, phi = 0, and QUADPACK then reports roundoff.
+    L_I(s) = exp(-lam s int_0^R r F(r) int_0^{2pi} dphi / (s + c + dist^alpha) dr)
+    for a compactly supported shape with support end R (``_campbell``).
+    ``eta`` is the linear mean SNR (``math.inf`` for a noise-free link) and
+    ``beta`` the SINR threshold.
     """
     if shape.tail.kind is not ip.TailKind.COMPACT_SUPPORT:
         raise ValueError("campbell_outage needs a compactly supported shape")
-    r_end = shape.tail.param
-
-    def radial(r):
-        def angular(phi):
-            dist2 = (r - y0) ** 2 + 4.0 * r * y0 * math.sin(0.5 * phi) ** 2
-            return s / (s + c + dist2 ** (alpha / 2.0))
-
-        val, _ = quad(angular, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
-        return 2.0 * r * float(shape.eval_f(r)) * val
-
-    inner = [k for k in shape.knots if 0.0 < k < r_end]
-    total, _ = quad(radial, 0.0, r_end, points=inner or None,
-                    epsabs=0.0, epsrel=1e-13, limit=200)
+    total = s * _campbell(shape, alpha, s + c, y0, shape.tail.param)
     return 1.0 - math.exp(-beta / eta) * math.exp(-lam * total)
 
 

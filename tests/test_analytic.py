@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import isoppp as ip
-from conftest import (campbell_mean, campbell_peak_mean, compact_mass, rayleigh_channel,
-                      unit_channel)
+from conftest import (campbell_mean, campbell_outage, campbell_peak_mean, compact_mass,
+                      rayleigh_channel, unit_channel)
 
 # frozen oracle: QUADPACK value of pi * int_0^inf e^-r log(1+r^2) dr
 A2_SCATTERED_RHO1_ORIGIN = 2.1575073628606187
@@ -164,9 +164,23 @@ class TestMeanInterference:
         assert res.value == pytest.approx(A2_SCATTERED_RHO1_ORIGIN, rel=1e-10)
 
     def test_unsupported_alpha(self):
-        ch = rayleigh_channel(3, 1.0)
-        with pytest.raises(ip.UnsupportedAlpha):
-            ip.mean_interference(ip.scenario_scattered(1.0), ch, 1.0, 0.0)
+        # the angular kernel serves every exponent up to 9 and none above it
+        shape = ip.scenario_scattered(1.0)
+        assert ip.mean_interference(shape, rayleigh_channel(9, 1.0), 1.0, 0.0).converged
+        for alpha in (9.5, 1e300):
+            with pytest.raises(ip.UnsupportedAlpha, match=r"in \[2, 9\]"):
+                ip.mean_interference(shape, rayleigh_channel(alpha, 1.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3, 3.5, 5])
+    def test_mean_and_outage_match_campbell_at_other_alphas(self, fig3_shape, alpha):
+        ch, y0 = rayleigh_channel(alpha, 1.0), 300.0
+        mean = ip.mean_interference(fig3_shape, ch, 1e-3, y0).value
+        assert mean == pytest.approx(campbell_mean(fig3_shape, alpha, 1.0, 1e-3, y0, 800.0),
+                                     rel=1e-9)
+        link = ip.LinkConfig(1e-3, y0, 10.0, 0.5)
+        oracle = campbell_outage(fig3_shape, alpha, 1.0, 1e-3, y0, 0.5 * (1.0 + 10.0**alpha),
+                                 math.inf, 0.5)
+        assert ip.outage_exact(fig3_shape, ch, link) == pytest.approx(oracle, abs=1e-9)
 
     def test_fading_independent(self):
         shape = ip.scenario_scattered(20.0)

@@ -28,6 +28,13 @@ def _unconverged(*args, **kwargs):
 
 
 class TestSubharmonicRegion:
+    @pytest.mark.parametrize("step", [1e-7, 1e-310, 1e308],
+                             ids=["2e7-cells", "subnormal-step", "overflowing-step"])
+    def test_grid_too_fine(self, step):
+        # 2 scale / step cells on scale 1; the last two overflow the cell count
+        with pytest.raises(ip.DomainError, match="grid too fine"):
+            ip.subharmonic_region(ip.scenario_scattered(1.0), step)
+
     def test_constant_is_harmonic_everywhere(self):
         region = ip.subharmonic_region(ip.constant_shape(1.0), 0.01)
         assert region.intervals == ((0.0, math.inf),)

@@ -382,6 +382,37 @@ def test_import_path_skips_scipy_stats():
     assert result.stderr.splitlines()[-1] == "[0, 0, 0] False"
 
 
+def _isoppp_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(isoppp.__file__)))
+
+
+def test_import_loads_numpy_alone():
+    # the runtime is numpy only: importing the package and its CLI loads
+    # neither scipy nor numpy.polynomial (the angular rule builds its own nodes)
+    script = ("import sys, isoppp, isoppp.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+              "             or m.startswith('numpy.polynomial')))\n")
+    result = subprocess.run([sys.executable, "-c", script], env=_isoppp_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["outage", "--shape", "logDecay", "--alpha", "4", "--tol", "1e-15"],
+    ["divergence", "--shape", '{"scenario":"powerTail","params":{"nu":2.5,"r0":50}}',
+     "--alpha", "4", "--tol", "1e-15"],
+], ids=["outage-logDecay", "divergence-powerTail"])
+def test_tolerance_below_eps_finishes(capsys, argv):
+    # at tol 1e-15 these run to the quadrature's evaluation budget and exit 3;
+    # when the error sum shared the value sum's rounding slack, almost every
+    # bisection re-summed every panel and each ran for minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (3, "")
+    assert err.startswith("isoppp: quadrature did not converge:")
+
+
 class TestSimulateCommand:
     def test_reproducible_csv_bytes(self, capsys, tmp_path):
         args = [
@@ -555,6 +586,21 @@ class TestReplotCheck:
         assert code == 0
         code, _, err = run_cli(capsys, "replot-check", str(out))
         assert code == 0, err
+
+    def test_json_non_finite_values_pass(self, capsys, tmp_path):
+        # json reads NaN and Infinity back as the values it wrote
+        artifact = tmp_path / "a.json"
+        artifact.write_text('{"config": {}, "columns": ["v"], "rows": [[NaN], [Infinity]]}')
+        assert run_cli(capsys, "replot-check", str(artifact)) == (0, "", "")
+
+    def test_error_row_passes(self, capsys, tmp_path):
+        # a sweep point that fails leaves empty value cells and a text error cell
+        out = tmp_path / "errors.csv"
+        code, _, _ = run_cli(capsys, "mean", "--shape", "constant", "--alpha", "2",
+                             "--sweep", "y0=0:10:10", "--out", str(out))
+        assert code == 0
+        assert out.read_text().splitlines()[-1].startswith("10,,,,DivergentIntegral: ")
+        assert run_cli(capsys, "replot-check", str(out)) == (0, "", "")
 
     def test_rejects_tampered_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

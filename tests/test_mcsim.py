@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 import isoppp as ip
-from isoppp import mcsim
+from isoppp import mcsim, numerics
 from isoppp.shapes import _SCENARIOS
 from conftest import SCENARIO_PARAMS, campbell_mean, rayleigh_channel, unit_channel
 
@@ -56,9 +56,31 @@ class TestTruncationRadius:
         assert info.value.result is unconverged
 
     def test_unconverged_truncated_mean_raises(self, monkeypatch, scattered100):
-        _unconverged(monkeypatch)
-        with pytest.raises(ip.NonConvergence):
+        # alpha 3 takes the same exact-mean reference as alpha 2 and 4
+        real = mcsim.interference_driving
+
+        def unconverged(*args):
+            return dataclasses.replace(real(*args), converged=False)
+
+        monkeypatch.setattr(mcsim, "interference_driving", unconverged)
+        with pytest.raises(ip.NonConvergence, match="truncation reference"):
             ip.truncation_radius(scattered100, rayleigh_channel(3, 1.0), 0.0)
+
+    def test_exhausted_doublings_raise(self, monkeypatch, scattered100):
+        monkeypatch.setattr(mcsim, "_tail_mean_bound", lambda *args: math.inf)
+        with pytest.raises(ip.NoFiniteTruncation, match="within 60 doublings"):
+            ip.truncation_radius(scattered100, rayleigh_channel(4, 1.0), 0.0)
+
+    def test_above_alpha_max_needs_a_radius_override(self, scattered100):
+        # a compactly supported shape needs no reference and truncates at its edge
+        ch = rayleigh_channel(9.5, 1.0)
+        compact = ip.scenario_finite_network(400.0, 600.0)
+        assert ip.truncation_radius(compact, ch, 0.0).radius == 600.0
+        link = ip.LinkConfig(1e-3, 50.0, 10.0, 0.5)
+        with pytest.raises(ip.UnsupportedAlpha, match="--max-radius"):
+            ip.simulate(scattered100, ch, link, ip.SimConfig(10, 1))
+        out = ip.simulate(scattered100, ch, link, ip.SimConfig(10, 1, max_radius_override=800.0))
+        assert out.max_radius == 800.0 and math.isfinite(out.truncation_bias_bound)
 
 
 class TestTailMeanBound:
@@ -208,12 +230,21 @@ class TestSimulate:
         assert abs(out.mean - target) <= 3.0 * sigma + out.truncation_bias_bound
 
     def test_mean_at_alpha3_against_campbell(self, scattered100):
-        # no closed form at alpha 3: the truncation radius comes from the
-        # polar-quadrature reference, the target from the Campbell oracle
+        # no closed form at alpha 3: the truncation reference is the angular
+        # rule's mean, the target the Campbell oracle's over the sampling disc
         ch = rayleigh_channel(3, 1.0)
         link = ip.LinkConfig(1e-3, 50.0, 10.0, 0.5, math.inf)
         out = ip.simulate(scattered100, ch, link, ip.SimConfig(2 * 10**4, 303))
         target = campbell_mean(scattered100, 3, 1.0, 1e-3, 50.0, out.max_radius)
+        sigma = out.mean_half_width95 / 1.96
+        assert abs(out.mean - target) <= 3.0 * sigma + out.truncation_bias_bound
+
+    def test_mean_at_alpha3_against_analytic(self, scattered100):
+        # criterion 4's configuration and trial count at alpha 3
+        ch = rayleigh_channel(3, 1.0)
+        out = ip.simulate(scattered100, ch, ip.LinkConfig(1e-3, 50.0, 10.0, 0.5),
+                          ip.SimConfig(10**5, 9301))
+        target = ip.mean_interference(scattered100, ch, 1e-3, 50.0).value
         sigma = out.mean_half_width95 / 1.96
         assert abs(out.mean - target) <= 3.0 * sigma + out.truncation_bias_bound
 
@@ -380,11 +411,13 @@ def test_simulate_needs_a_fading_sampler(scattered100):
 
 
 def test_truncated_mean_takes_overflow_as_its_limit():
-    # at alpha = 1e300 every d^alpha beyond unit distance overflows to inf,
-    # where the path loss is 0; RuntimeWarnings are errors here
-    channel = rayleigh_channel(1e300, 1.0)
-    value = mcsim._truncated_mean_per_intensity(ip.scenario_scattered(100.0), channel, 30.0, 200.0)
-    assert 0.0 <= value < math.inf
+    # the truncation reference's kernel: at alpha = 1e300 every d^alpha beyond
+    # unit distance overflows to inf, where the path loss is 0; RuntimeWarnings
+    # are errors here
+    r = np.array([0.0, 1e-3, 29.5, 30.0, 30.5, 200.0, 1e7])
+    value = numerics._kernel_angular(r, 1.0, 30.0, 1e300)
+    assert np.all((0.0 <= value) & (value < math.inf))
+    assert np.all(value[[0, 1, 5, 6]] == 0.0) and np.all(value[2:5] > 0.0)
 
 
 @pytest.mark.parametrize("fading", [ip.FadingLaw.rayleigh(),

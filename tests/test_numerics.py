@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 import isoppp as ip
 from isoppp import numerics
-from conftest import (angular_closed_form, arctan_kernel, asinh_kernel, brute_angular_alpha4,
-                      kappa, profile_slope)
+from conftest import (angular_closed_form, angular_oracle, arctan_kernel, asinh_kernel,
+                      brute_angular_alpha4, kappa, profile_slope)
 
 
 class TestAngularClosedForm:
@@ -155,6 +155,40 @@ class TestArctanKernel:
         np.testing.assert_allclose(arctan_kernel(r, 2.0, 0.0), expected, rtol=1e-13)
 
 
+class TestAngularKernel:
+    """The Gauss-Legendre rule that serves every alpha outside {2, 4}."""
+
+    def test_equals_the_closed_forms(self):
+        rng = np.random.default_rng(34)
+        for draw in range(300):
+            c = 10.0 ** rng.uniform(-6.0, 6.0)
+            y0 = 0.0 if draw % 10 == 0 else 10.0 ** rng.uniform(-3.0, 6.0)
+            r = np.append(10.0 ** rng.uniform(-3.0, 7.0, 20), [y0, 0.0])
+            for alpha, closed in ((2, numerics._kernel_alpha2), (4, numerics._kernel_alpha4)):
+                got = numerics._kernel_angular(r, c, y0, float(alpha))
+                np.testing.assert_allclose(got, closed(r, c, y0), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 5.0, 8.0, 9.0])
+    def test_matches_the_angular_oracle(self, alpha):
+        # 9 is the largest exponent the mean serves: a 50-digit mpmath
+        # quadrature puts the rule's worst error there, at r = y0, near 7e-13
+        for c in (1e-3, 1.0, 1e3):
+            for y0 in (0.5, 40.0, 3e3):
+                w = c ** (1.0 / alpha)
+                r = np.array([*(y0 * np.array([0.01, 0.5, 0.99, 1.0, 1.01, 2.0, 100.0])),
+                              y0 + 0.3 * w, y0 + w])
+                got = numerics._kernel_angular(r, c, y0, alpha)
+                want = [angular_oracle(ri, c, y0, alpha) for ri in r]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_centre_and_origin_have_no_angle(self):
+        # y0 = 0 or r = 0: d = r or y0 at every angle
+        assert numerics._kernel_angular(np.array([3.0]), 2.0, 0.0, 3.0)[0] == pytest.approx(
+            2.0 * math.pi / (2.0 + 27.0), rel=1e-15)
+        assert numerics._kernel_angular(np.array([0.0]), 2.0, 3.0, 3.0)[0] == pytest.approx(
+            2.0 * math.pi / (2.0 + 27.0), rel=1e-15)
+
+
 class TestIntegrateSemiInfinite:
     def test_total_derivative_mass(self):
         shape = ip.scenario_scattered(1.0)
@@ -261,6 +295,12 @@ class TestIntegrateInterval:
         assert res.value == pytest.approx(5.0 / 3.0, rel=4.0 * np.finfo(float).eps)
         assert res.evaluations <= 31_000
 
+    def test_bounds_near_the_largest_double(self):
+        # a + b overflows here, so midpoints and half-widths are halved first
+        res = ip.integrate_interval(lambda x: np.exp(-x / 1e307), 0.0, 1.5e308, 1e-10)
+        assert res.converged
+        assert res.value == pytest.approx(-1e307 * math.expm1(-15.0), rel=1e-14)
+
     def test_exhausting_the_default_budget_takes_seconds(self):
         # this integral misses its tolerance within the default budget; a
         # re-sum of every panel after each bisection made that cost O(panels^2)
@@ -276,8 +316,11 @@ class TestIntegrateInterval:
         (lambda x: np.exp(-x) * np.cos(50.0 * x), 0.0, 30.0, 1e-14),
         (lambda x: np.log(x) * np.sin(1.0 / (x + 1e-3)), 0.0, 1.0, 1e-11),
         (lambda x: np.sin(1.0 / x), 0.0, 1.0, 1e-14),
+        # tolerances below the running sums' rounding (about 8 eps)
+        (lambda x: np.exp(x), 0.0, 1.0, 1e-16),
+        (lambda x: np.where(x >= 1.0, np.sqrt(np.abs(x - 1.0)), -1.0), 1.0, 2.0, 1e-20),
     ], ids=["cancelling", "endpoint-singularity", "oscillating", "log-oscillating",
-            "out-of-budget"])
+            "out-of-budget", "smooth-tiny-tol", "kink-tiny-tol"])
     def test_running_sums_stop_where_exact_sums_do(self, fn, a, b, tol):
         got = ip.integrate_interval(fn, a, b, tol, max_evals=60_000)
         assert got == _exact_sum_reference(fn, a, b, tol, 60_000)
@@ -304,7 +347,7 @@ def _exact_sum_reference(fn, a, b, tol, max_evals):
         if evals + 30 > max_evals:
             return ip.IntegralResult(total, total_err, False, evals)
         _, _, lo, hi, val, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             heapq.heappush(heap, (0.0, serial, lo, hi, val, 0.0))
             serial += 1

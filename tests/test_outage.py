@@ -149,6 +149,11 @@ class TestLogDivergence:
             ip.log_divergence(ip.constant_shape(1.0), rayleigh_channel(4, 0.0),
                               _link(eta_db=10.0))
 
+    def test_threshold_underflow_refused(self):
+        # beta d^4 = 1e-400 rounds to 0, where the kernel's c must be positive
+        with pytest.raises(ip.DomainError, match="beta d\\^4 underflows to 0 at d=1e-100"):
+            ip.log_divergence(ip.constant_shape(1.0), rayleigh_channel(4, 0.0), _link(d=1e-100))
+
 
 class TestRelativeError:
     def test_exact_in_stationary_case(self):

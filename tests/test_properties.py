@@ -93,6 +93,17 @@ def test_nonincreasing_in_offset(case, scale, p, y0, step, c):
     assert far.value <= near.value + near.abs_error + far.abs_error
 
 
+@settings(PROPERTIES, max_examples=50)
+@given(name=st.sampled_from([name for name, alpha in CASES if alpha == 2]), scale=scales,
+       p=params, y0=offsets, c=constants, alpha=st.floats(2.0, 4.0, exclude_min=True,
+                                                           exclude_max=True))
+def test_between_two_and_four_below_the_sum_of_both(name, scale, p, y0, c, alpha):
+    # d^alpha >= min(d^2, d^4), so 1 / (c + d^alpha) <= 1 / (c + d^2) + 1 / (c + d^4)
+    res = _driving(name, scale, p, y0, c, alpha)
+    a2, a4 = (_driving(name, scale, p, y0, c, k) for k in (2, 4))
+    assert res.value - res.abs_error <= a2.value + a4.value + a2.abs_error + a4.abs_error
+
+
 @PROPERTIES
 @given(level=st.floats(0.25, 1.0), y0=offsets, c=constants)
 def test_stationary_mean_at_every_offset(level, y0, c):

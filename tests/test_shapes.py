@@ -272,6 +272,13 @@ def test_hand_built_profile_checked_beyond_origin(f, bad):
         _hand_built(f)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_hand_built_scale_checked(scale):
+    with pytest.raises(ip.InvalidScenarioParams, match="scale must be positive and finite"):
+        ip.ShapeFunction(eval_f=lambda r: np.exp(-np.asarray(r, dtype=float)),
+                         tail=ip.TailClass(TailKind.EXPONENTIAL_DECAY, 1.0), scale=scale)
+
+
 def test_hand_built_profile_keeps_the_origin_message():
     with pytest.raises(ip.InvalidScenarioParams, match=r"F\(0\) must lie in \[0, 1\]"):
         _hand_built(lambda r: 2.0 * np.exp(-r / 50.0))
