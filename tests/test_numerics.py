@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 import isoppp as ip
 from isoppp import numerics
-from conftest import (angular_closed_form, angular_oracle, arctan_kernel, asinh_kernel,
-                      brute_angular_alpha4, kappa, profile_slope)
+from conftest import (angular_closed_form, angular_oracle, angular_oracle_40, arctan_kernel,
+                      asinh_kernel, brute_angular_alpha4, kappa, profile_slope)
 
 
 class TestAngularClosedForm:
@@ -179,6 +179,17 @@ class TestAngularKernel:
                               y0 + 0.3 * w, y0 + w])
                 got = numerics._kernel_angular(r, c, y0, alpha)
                 want = [angular_oracle(ri, c, y0, alpha) for ri in r]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 5.0, 9.0])
+    def test_matches_the_40_digit_oracle_up_to_y0_1e6(self, alpha):
+        # above y0 ~ 3e3 QUADPACK loses digits at r = y0; the rule's worst
+        # error, at alpha 9 and r = y0 = 1e6, is 4.9e-13
+        for c in (1e-6, 1e3):
+            for y0 in (1e4, 1e6):
+                r = np.array([0.5 * y0, y0, y0 + c ** (1.0 / alpha)])
+                got = numerics._kernel_angular(r, c, y0, alpha)
+                want = [angular_oracle_40(ri, c, y0, alpha) for ri in r]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_centre_and_origin_have_no_angle(self):

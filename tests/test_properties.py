@@ -34,6 +34,9 @@ FAMILIES = {
     "D": (lambda s, p: ip.scenario_carrier_sense(s**-4.0, 4.0), (4,)),
 }
 CASES = [(name, alpha) for name, (_, alphas) in FAMILIES.items() for alpha in alphas]
+# the exponents the angular kernel serves join the driving-function properties
+ANGULAR_ALPHAS = (2.5, 3, 5, 9)
+DRIVING_CASES = [*CASES, *((name, alpha) for name in FAMILIES for alpha in ANGULAR_ALPHAS)]
 
 offsets = st.one_of(st.just(0.0), _decades(1e-3, 1e6))
 constants = _decades(1e-6, 1e6)
@@ -46,7 +49,7 @@ def _driving(name, scale, p, y0, c, alpha):
 
 
 @PROPERTIES
-@given(case=st.sampled_from(CASES), scale=scales, p=params, y0=offsets, c=constants)
+@given(case=st.sampled_from(DRIVING_CASES), scale=scales, p=params, y0=offsets, c=constants)
 def test_converged_finite_nonnegative(case, scale, p, y0, c):
     res = _driving(case[0], scale, p, y0, c, case[1])
     assert res.converged
@@ -55,7 +58,7 @@ def test_converged_finite_nonnegative(case, scale, p, y0, c):
 
 
 @PROPERTIES
-@given(case=st.sampled_from(CASES), scale=scales, p=params, y0=offsets, c=constants,
+@given(case=st.sampled_from(DRIVING_CASES), scale=scales, p=params, y0=offsets, c=constants,
        rho=_decades(1e-3, 1e3))
 def test_scale_identity(case, scale, p, y0, c, rho):
     # A[F(./rho)](rho y0, rho^alpha c) = rho^(2 - alpha) A[F](y0, c)
@@ -66,8 +69,8 @@ def test_scale_identity(case, scale, p, y0, c, rho):
 
 
 @PROPERTIES
-@given(alpha=st.sampled_from((2, 4)), scale=scales, p=params, gap=_decades(1e-3, 1e3),
-       c=constants)
+@given(alpha=st.sampled_from((2, 4, *ANGULAR_ALPHAS)), scale=scales, p=params,
+       gap=_decades(1e-3, 1e3), c=constants)
 def test_compact_far_field_bracket(alpha, scale, p, gap, c):
     # every node of a deployment inside radius R sits at distance y0 -+ R
     # or between from a receiver at y0 > R
@@ -82,7 +85,8 @@ def test_compact_far_field_bracket(alpha, scale, p, gap, c):
 
 
 @PROPERTIES
-@given(case=st.sampled_from([case for case in CASES if case[0] in ("A", "C", "powerTail")]),
+@given(case=st.sampled_from([case for case in DRIVING_CASES
+                             if case[0] in ("A", "C", "powerTail")]),
        scale=scales, p=params, y0=offsets, step=_decades(1e-3, 1e3), c=constants)
 def test_nonincreasing_in_offset(case, scale, p, y0, step, c):
     # a radially nonincreasing density convolved with a radially decreasing

@@ -17,15 +17,14 @@ PUBLIC_NAMES = [
     "IsopppError", "LinkConfig", "NoFiniteTruncation", "NonConvergence", "NumericOverflow",
     "OutsideRegion", "PointProcessSampler", "RadialRegion", "RequiresZeroC", "ShapeFunction",
     "SimConfig", "SimOutcome", "TailClass", "TailKind", "TruncationResult", "UnsupportedAlpha",
-    "analytic", "applications", "bounds", "classify_finiteness",
-    "constant_shape", "csma_accuracy_loss", "csma_large_scale_density", "csma_shape", "errors",
+    "classify_finiteness", "constant_shape", "csma_accuracy_loss", "csma_large_scale_density",
     "fh_ds_gain", "from_descriptor", "integrate_interval", "integrate_semi_infinite",
     "interference_driving", "laplace_transform", "local_transmission_capacity",
     "log_decay_shape", "log_divergence", "lower_tail_bound", "markov_upper_tail",
-    "max_inscribed_radius", "mcsim", "mean_interference", "numerics", "outage", "outage_approx",
-    "outage_exact", "power_tail_shape", "relative_error", "scenario_carrier_sense",
-    "scenario_finite_network", "scenario_scattered", "scenario_urban_hotspot", "shapes",
-    "simulate", "subharmonic_region", "truncation_radius",
+    "max_inscribed_radius", "mean_interference", "outage_approx", "outage_exact",
+    "power_tail_shape", "relative_error", "scenario_carrier_sense", "scenario_finite_network",
+    "scenario_scattered", "scenario_urban_hotspot", "simulate", "subharmonic_region",
+    "truncation_radius",
 ]
 
 OUTPUT = ["--tol", "--out", "--format", "--sweep"]
@@ -78,6 +77,10 @@ CONFIG_FORMS = {
 
 def test_public_names():
     assert sorted(isoppp.__all__) == PUBLIC_NAMES
+    # the submodules stay attributes of the package without being exported
+    for name in ("analytic", "applications", "bounds", "errors", "mcsim", "numerics", "outage",
+                 "shapes"):
+        assert getattr(isoppp, name).__name__ == f"isoppp.{name}"
 
 
 def test_command_options():

@@ -255,6 +255,16 @@ class TestDescriptor:
         with pytest.raises(ip.InvalidScenarioParams, match="'params' must be a mapping"):
             ip.from_descriptor({"scenario": "C", "params": [100]})
 
+    def test_descriptor_must_be_a_mapping(self):
+        with pytest.raises(ip.InvalidScenarioParams, match="must be a mapping, got 5"):
+            ip.from_descriptor(5)
+
+    @pytest.mark.parametrize("value", [None, True, [100], "abc", 10**400])
+    def test_params_must_be_numbers(self, value):
+        # a boolean is refused too, though float(True) is 1.0
+        with pytest.raises(ip.InvalidScenarioParams, match="scenario C: rho must be a number"):
+            ip.from_descriptor({"scenario": "C", "params": {"rho": value}})
+
 
 def _hand_built(f):
     return ip.ShapeFunction(eval_f=lambda r: f(np.asarray(r, dtype=float)),
