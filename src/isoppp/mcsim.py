@@ -7,8 +7,7 @@ with uniform angles, applies fading, and accumulates interference
 statistics with 95% normal confidence half-widths, each from the sample
 sigma with n - 1, frequencies included.  The inverse finds its
 table knot through a guide table and returns exactly what ``np.interp``
-returns; path loss and per-trial sums are evaluated over blocks of trials,
-after the block's random draws.
+returns.  Trials are drawn, attenuated and summed in blocks.
 
 The outage is estimated by conditional Monte-Carlo whenever the fading
 law has a ``tail``: the sample mean of P(g0 < x | I) = 1 - tail(x), where
@@ -16,11 +15,15 @@ x = beta (noise + I) / ell(d) is the trial's threshold on the reference
 gain g0.  It has the mean of the coin g0 < x and never a larger variance.
 A law without a tail flips that coin, one a trial.
 
-Reproducibility contract: one run draws every trial, in order, from one
-generator seeded by ``seed``, and then, only for a fading law without a
-tail, the outage coins of all trials, so a fixed (seed, trials, config)
-gives a bit-identical outcome.  The guide and block sizes do not enter
-it: the outcome is the same at any size.
+Reproducibility contract: one run draws from one generator seeded by
+``seed``.  Its trials come in blocks of max(1, floor(4096 / m)) trials, m
+the expected node count of a trial, the last block capped at the trials
+left; each block draws its Poisson counts, then its uniforms (every node's
+radial quantile, then every node's turn), then its fading gains, one call
+each, and sums each trial in draw order.  After the last block, only for a
+fading law without a tail, come the outage coins of all trials.  So a fixed
+(seed, trials, config) gives a bit-identical outcome; the block rule is
+part of that contract, and the guide size is not.
 The sampling disc is the smallest doubling radius whose neglected mean is
 at most 1e-3 of the exact mean, ``interference_driving`` at alpha <= 9
 (``SimConfig.max_radius_override`` sets it at any alpha).  Truncation is
@@ -45,7 +48,7 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _TWO_PI = 2.0 * math.pi
 # the sampling disc neglects at most this fraction of the mean interference
 _TRUNCATION_FRACTION = 1e-3
-# simulate evaluates path loss once per block of trials holding this many points
+# simulate draws its trials in blocks expected to hold this many points
 _BLOCK_POINTS = 4096
 
 
@@ -281,18 +284,13 @@ class PointProcessSampler:
         )
         return float(np.max(np.abs(masses * bins / self._mass - 1.0)))
 
-    def _draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One realisation's uniforms: (radial quantiles, angles / 2 pi).
-        The Poisson count, then one ``random`` call for both halves, which
-        is the stream of ``random(n)`` followed by ``uniform(0, 2 pi, n)``."""
+    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw one realisation; returns (radii, angles) in polar form.  The
+        Poisson count, then one ``random`` call for both halves, which is the
+        stream of ``random(n)`` followed by ``uniform(0, 2 pi, n)``."""
         n = rng.poisson(self.mean_count)
         v = rng.random(2 * n)
-        return v[:n], v[n:]
-
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw one realisation; returns (radii, angles) in polar form."""
-        u, turns = self._draw(rng)
-        return self._inverse(u), turns * _TWO_PI
+        return self._inverse(v[:n]), v[n:] * _TWO_PI
 
 
 def simulate(
@@ -339,25 +337,18 @@ def simulate(
     gain_inv = _threshold(1.0, c, link.d, alpha)  # 1 / ell(d)
 
     rng = np.random.default_rng(sim_cfg.seed)
-    first = 0
-    while first < trials:
-        # draw trials in order until the block holds _BLOCK_POINTS points ...
-        us, turns, gains, ends = [], [], [], [0]
-        while first + len(us) < trials and ends[-1] < _BLOCK_POINTS:
-            u, turn = sampler._draw(rng)
-            us.append(u)
-            turns.append(turn)
-            g = np.asarray(fading_sampler(rng, u.size), dtype=float)
-            gains.append(g if g.shape == u.shape else np.broadcast_to(g, u.shape))
-            ends.append(ends[-1] + u.size)
-        # ... then map, attenuate and sum the whole block; each trial is
-        # reduced alone, in the order np.sum would use on its own array
-        radii = sampler._inverse(np.concatenate(us))
-        d2 = radii**2 + y0**2 - 2.0 * radii * y0 * np.cos(np.concatenate(turns) * _TWO_PI)
-        loss = np.concatenate(gains) / (c + d2 ** (alpha / 2.0))
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            interference[first] = np.add.reduce(loss[lo:hi])
-            first += 1
+    block = max(1, int(min(trials, _BLOCK_POINTS / sampler.mean_count)))
+    for first in range(0, trials, block):
+        # one call each for the block's counts, its uniforms and its fading
+        m = min(block, trials - first)
+        counts = rng.poisson(sampler.mean_count, m)
+        n = int(counts.sum())
+        v = rng.random(2 * n)
+        gains = np.broadcast_to(np.asarray(fading_sampler(rng, n), dtype=float), (n,))
+        loss = gains / (c + _distance2(sampler._inverse(v[:n]), v[n:], y0) ** (alpha / 2.0))
+        # each trial summed alone, in draw order; an empty trial sums to 0
+        interference[first:first + m] = np.bincount(np.repeat(np.arange(m), counts),
+                                                    weights=loss, minlength=m)
 
     outage = (None, None)
     if want_outage:
@@ -371,6 +362,12 @@ def simulate(
     tail = _per_key(z_grid, lambda z: _estimate(interference >= z))
     laplace = _per_key(s_grid, lambda s: _estimate(np.exp(-s * interference)))
     return SimOutcome(*_estimate(interference), *tail, *outage, *laplace, bias, trials, radius)
+
+
+def _distance2(radii: np.ndarray, turns: np.ndarray, y0: float) -> np.ndarray:
+    """Squared distance from (radius, turn * 2 pi) to the receiver at (y0, 0),
+    as (r - y0)^2 + 4 r y0 sin^2(pi turn), which does not cancel near it."""
+    return (radii - y0) ** 2 + 4.0 * y0 * radii * np.sin(math.pi * turns) ** 2
 
 
 def _estimate(x: np.ndarray) -> tuple[float, float]:

@@ -127,10 +127,10 @@ _SCENARIOS: dict[str, Callable[..., ShapeFunction]] = {}
 
 def _scenario(name: str):
     """Register a catalogued builder under ``name``.  Each call binds its
-    arguments with their defaults, rejects any that is not positive and
-    finite, and makes the one ShapeFunction from the parts the builder
-    returns: an array-native ``profile`` and the tail, knots and scale,
-    with the arguments recorded as the descriptor."""
+    arguments with their defaults, reads each with ``_number``, rejects any
+    that is not positive and finite, and makes the one ShapeFunction from
+    the parts the builder returns: an array-native ``profile`` and the tail,
+    knots and scale, with the numbers recorded as the descriptor."""
 
     def register(build):
         signature = inspect.signature(build)
@@ -140,6 +140,7 @@ def _scenario(name: str):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             for param, value in bound.arguments.items():
+                value = bound.arguments[param] = _number(name, param, value)
                 if not 0.0 < value < math.inf:
                     raise InvalidScenarioParams(f"scenario {name}: {param} must be "
                                                 f"positive and finite, got {value}")
@@ -298,7 +299,7 @@ def from_descriptor(descriptor: Mapping) -> ShapeFunction:
     missing = [n for n, p in signature.items() if p.default is p.empty and n not in params]
     if missing:
         raise InvalidScenarioParams(f"scenario {scenario} needs parameters {missing}")
-    return builder(**{n: _number(scenario, n, v) for n, v in params.items()})
+    return builder(**params)
 
 
 def _number(scenario: str, param: str, value) -> float:

@@ -52,8 +52,8 @@ def test_tracer_records_cli_spans_and_restores_patches(capsys):
               "--beta", "0.5", "--sweep", "y0=0:100:50"], {"outage"}),
             (["csma", "--delta-db", "-50", "--lambda", "1e-3", "--beta", "1", "--d", "10"],
              {"applications"}),
-            # the Monte-Carlo workloads read these spans; simulate draws
-            # through the sampler's ``_draw``, so no ``mcsim.sample`` span
+            # the Monte-Carlo workloads read these spans; simulate draws its
+            # blocks itself, not through ``sample``, so no ``mcsim.sample`` span
             (["simulate", "--shape", C100, "--alpha", "4", "--c", "1", "--y0", "5",
               "--trials", "20", "--seed", "1", "--what", "outage"],
              {"mcsim.simulate", "mcsim.truncation", "mcsim.sampler_build", "mcsim.rng_init",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -439,13 +440,30 @@ def test_sim_config_radius_override_is_keyword_only():
     assert ip.SimConfig(100, 1, max_radius_override=1e3).max_radius_override == 1e3
 
 
+@pytest.mark.parametrize("y0", [1e2, 1e4, 1e6])
+def test_near_receiver_path_loss_keeps_full_precision(y0):
+    # nodes within 3 units of the receiver on either side of its axis, each at
+    # the polar position sample() reports: (r, turn * 2 pi)
+    rng = np.random.default_rng(5)
+    radii = y0 + rng.uniform(-3.0, 3.0, 200)
+    turns = (rng.uniform(-3.0, 3.0, 200) / (2.0 * math.pi * y0)) % 1.0
+    loss = 1.0 / (1.0 + mcsim._distance2(radii, turns, y0) ** 1.5)
+    with mp.workdps(50):
+        for r, t, got in zip(radii, turns, loss):
+            r, y, angle = mp.mpf(float(r)), mp.mpf(y0), mp.mpf(float(t * mcsim._TWO_PI))
+            want = 1 / (1 + (r * r + y * y - 2 * r * y * mp.cos(angle)) ** 1.5)
+            assert abs(got / want - 1) <= 4e-15
+
+
 def _per_trial_simulate(shape, channel, link, sim_cfg, *, z_grid=None, s_grid=None,
                         want_outage=False):
-    """``simulate`` as one loop over trials: each trial is sampled on its own
-    and inverted with ``np.interp`` on the sampler's table, and its path loss
-    summed with ``np.sum``.  The outage is the mean of 1 - tail(x) for a
-    fading law with a tail, else the frequency of coins drawn after every
-    trial."""
+    """``simulate`` as its contract reads, one trial at a time: blocks of
+    max(1, floor(4096 / mean count)) trials, capped at the trials left, each
+    drawing its Poisson counts, then its uniforms (radial quantiles, then
+    turns) and then its fading in one call each; radii by ``np.interp`` on
+    the sampler's table; each trial's path loss summed in a plain loop in
+    draw order.  The outage is the mean of 1 - tail(x) for a fading law with
+    a tail, else the frequency of coins drawn after every trial."""
     alpha, c, y0, lam = channel.alpha, channel.c, link.y0_norm, link.lambda_scale
     fading = channel.fading.sampler
     if sim_cfg.max_radius_override is not None:
@@ -456,14 +474,24 @@ def _per_trial_simulate(shape, channel, link, sim_cfg, *, z_grid=None, s_grid=No
         radius, bias = trunc.radius, lam * trunc.mean_tail_bound_per_intensity
     sampler = ip.PointProcessSampler(shape, lam, radius)
     rng = np.random.default_rng(sim_cfg.seed)
-    interference = np.empty(sim_cfg.trials)
-    for i in range(sim_cfg.trials):
-        n = rng.poisson(sampler.mean_count)
-        radii = np.interp(rng.random(n), sampler._cum, sampler._grid)
-        angles = rng.uniform(0.0, 2.0 * math.pi, n)
-        g = np.asarray(fading(rng, n), dtype=float)
-        d2 = radii**2 + y0**2 - 2.0 * radii * y0 * np.cos(angles)
-        interference[i] = np.sum(g / (c + d2 ** (alpha / 2.0)))
+    block = max(1, math.floor(4096 / sampler.mean_count))
+    sums = []
+    while len(sums) < sim_cfg.trials:
+        counts = rng.poisson(sampler.mean_count, min(block, sim_cfg.trials - len(sums)))
+        n = int(counts.sum())
+        v = rng.random(2 * n)
+        g = np.broadcast_to(np.asarray(fading(rng, n), dtype=float), (n,))
+        radii = np.interp(v[:n], sampler._cum, sampler._grid)
+        d2 = (radii - y0) ** 2 + 4.0 * y0 * radii * np.sin(math.pi * v[n:]) ** 2
+        loss = g / (c + d2 ** (alpha / 2.0))
+        start = 0
+        for count in counts:
+            total = 0.0
+            for x in loss[start:start + count]:
+                total += x
+            sums.append(total)
+            start += count
+    interference = np.array(sums)
     outage = (None, None)
     if want_outage:
         x = link.beta * (1.0 / link.eta + interference * (c + link.d**alpha))
@@ -481,8 +509,9 @@ _GAMMA_FADING = ip.FadingLaw.custom(lambda rng, n: rng.gamma(2.0, 0.5, n))
 
 
 class TestBlockEvaluation:
-    """The guide-table inverse and the block evaluation change no bit of any
-    outcome: ``simulate`` equals the per-trial loop with ``np.interp``."""
+    """The guide-table inverse and the vectorised per-trial sums change no
+    bit of any outcome: ``simulate`` equals the loop that draws each block as
+    documented, inverts with ``np.interp`` and sums each trial on its own."""
 
     @pytest.mark.parametrize("shape, channel, link, cfg, requests", [
         (ip.scenario_finite_network(500.0, 800.0), rayleigh_channel(2, 1.0),
@@ -511,8 +540,13 @@ class TestBlockEvaluation:
          ip.ChannelModel(alpha=4, c=1.0, fading=ip.FadingLaw.custom(lambda rng, n: 1.0)),
          ip.LinkConfig(0.1, 5.0, 10.0, 0.5, math.inf),
          ip.SimConfig(5, 10, max_radius_override=150.0), {"want_outage": True}),
+        (ip.scenario_scattered(1.0),  # 0.006 points a trial: the whole block is empty
+         ip.ChannelModel(alpha=4, c=1.0,
+                         fading=ip.FadingLaw.custom(lambda rng, n: rng.exponential(1.0, n))),
+         ip.LinkConfig(1e-3, 3.0, 10.0, 0.5, math.inf), ip.SimConfig(5, 7),
+         {"want_outage": True, "z_grid": [1e-3], "s_grid": [1.0]}),
     ], ids=["fig3-a2", "fig3-a4", "C100", "C1", "C100-unit-a3", "D-gamma", "powerTail-override",
-            "constant-scalar-fading"])
+            "constant-scalar-fading", "C1-empty-block"])
     def test_outcome_equals_per_trial_loop(self, shape, channel, link, cfg, requests):
         assert ip.simulate(shape, channel, link, cfg, **requests) == _per_trial_simulate(
             shape, channel, link, cfg, **requests)

@@ -181,6 +181,22 @@ def test_parameter_must_be_positive_and_finite(scenario, param, value):
         _SCENARIOS[scenario](**params)
 
 
+@pytest.mark.parametrize("value", [None, True, [100], "abc", 10**400],
+                         ids=["None", "True", "list", "abc", "int-1e400"])
+@pytest.mark.parametrize("scenario,param", PARAMETERS)
+def test_parameter_must_be_a_number(scenario, param, value):
+    # a direct call reads its arguments as from_descriptor does
+    params = {**SCENARIO_PARAMS[scenario], param: value}
+    with pytest.raises(ip.InvalidScenarioParams, match=f"{scenario}: {param} must be a number"):
+        _SCENARIOS[scenario](**params)
+
+
+def test_numeric_string_is_read_as_its_number():
+    shape = ip.scenario_scattered("100")
+    assert shape.descriptor == {"scenario": "C", "params": {"rho": 100.0}}
+    assert type(shape.descriptor["params"]["rho"]) is float
+
+
 @pytest.mark.parametrize("value", [1e-300, 1e300])
 @pytest.mark.parametrize("scenario,param", PARAMETERS)
 def test_profile_at_extreme_parameter_has_no_nan(scenario, param, value):
