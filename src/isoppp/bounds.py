@@ -144,7 +144,6 @@ def lower_tail_bound(
     alpha, c = channel.alpha, channel.c
 
     def integrand(r):
-        r = np.asarray(r, dtype=float)
         return r * np.asarray(tail(z * (c + r**alpha)), dtype=float)
 
     knots = []

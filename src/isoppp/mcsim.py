@@ -113,7 +113,6 @@ def _tail_mean_bound(shape: ShapeFunction, channel: ChannelModel, y0_norm: float
     alpha, c = channel.alpha, channel.c
 
     def weight(t):
-        t = np.asarray(t, dtype=float)
         r = t + radius
         gap = np.maximum(0.0, r - y0_norm)
         # gap^alpha overflows to the weight's limit 0; at c = 0, r = y0 is a pole
@@ -198,7 +197,6 @@ class PointProcessSampler:
         self._r_eff = r_eff
 
         def radial_mass(r):
-            r = np.asarray(r, dtype=float)
             return r * np.asarray(shape.eval_f(r), dtype=float)
 
         self._radial_mass = radial_mass

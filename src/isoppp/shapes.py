@@ -56,28 +56,15 @@ class TailClass:
                                         f"parameter, got {self.param}")
 
 
-def _radial(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Wrap an array-native radial function so scalars map to floats."""
-
-    def call(r):
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = fn(arr)
-        if np.ndim(r) == 0:
-            return float(out[0])
-        return out
-
-    call.__name__ = fn.__name__
-    return call
-
-
 @dataclass(frozen=True)
 class ShapeFunction:
     """Immutable radial density profile.
 
-    ``eval_f`` accepts scalars or numpy arrays of radii.  Construction
-    checks that F is finite and in [0, 1] at 0, at the knots and at
-    ``scale 2^k`` for k = -20 ... 40, and raises InvalidScenarioParams
-    naming the first radius where it is not.
+    ``eval_f`` maps a radius or an array of radii to F; a catalogued one
+    hands its profile a float array.  Construction is the one check of F's
+    range: F must be finite and in [0, 1] at 0, at the knots and at
+    ``scale 2^k`` for k = -20 ... 40, or InvalidScenarioParams names the
+    first radius where it is not.
     ``knots`` lists the radii where higher derivatives jump; quadrature
     always splits there.  ``scale`` is the characteristic radius used to
     place quadrature knees and finite-difference grids.
@@ -127,17 +114,22 @@ _SCENARIOS: dict[str, Callable[..., ShapeFunction]] = {}
 
 def _scenario(name: str):
     """Register a catalogued builder under ``name``.  Each call binds its
-    arguments with their defaults, reads each with ``_number``, rejects any
-    that is not positive and finite, and makes the one ShapeFunction from
-    the parts the builder returns: an array-native ``profile`` and the tail,
-    knots and scale, with the numbers recorded as the descriptor."""
+    arguments with their defaults (InvalidScenarioParams for a missing,
+    unknown or surplus one), reads each with ``_number``, rejects any that
+    is not positive and finite, and makes the one ShapeFunction from the
+    parts the builder returns: a ``profile`` of float arrays, the tail,
+    knots and scale, and the numbers as the descriptor.  A builder checks
+    only rules between its parameters; ShapeFunction checks F's range."""
 
     def register(build):
         signature = inspect.signature(build)
 
         @functools.wraps(build)
         def checked(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
+            try:
+                bound = signature.bind(*args, **kwargs)
+            except TypeError as exc:
+                raise InvalidScenarioParams(f"scenario {name}: {exc}") from None
             bound.apply_defaults()
             for param, value in bound.arguments.items():
                 value = bound.arguments[param] = _number(name, param, value)
@@ -145,7 +137,8 @@ def _scenario(name: str):
                     raise InvalidScenarioParams(f"scenario {name}: {param} must be "
                                                 f"positive and finite, got {value}")
             parts = build(**bound.arguments)
-            return ShapeFunction(eval_f=_radial(parts.pop("profile")), **parts,
+            profile = parts.pop("profile")
+            return ShapeFunction(eval_f=lambda r: profile(np.asarray(r, dtype=float)), **parts,
                                  descriptor={"scenario": name, "params": dict(bound.arguments)})
 
         _SCENARIOS[name] = checked
@@ -188,8 +181,6 @@ def scenario_urban_hotspot(
     for name, (a, b) in {"hot": (hot_r0, hot_r1), "base": (base_r0, base_r1)}.items():
         if a >= b:
             raise InvalidScenarioParams(f"{name} plateau needs r0 < r1")
-    if hot_level + base_level > 1.0 + 1e-12:
-        raise InvalidScenarioParams("hotspot plus base level must not exceed 1")
 
     hot_f, base_f = _plateau(hot_r0, hot_r1), _plateau(base_r0, base_r1)
 
@@ -237,11 +228,9 @@ def scenario_carrier_sense(delta: float, alpha: float) -> ShapeFunction:
 @_scenario("constant")
 def constant_shape(level: float = 1.0) -> ShapeFunction:
     """Spatially constant density fraction (stationary deployment)."""
-    if level > 1.0:
-        raise InvalidScenarioParams(f"level must lie in (0, 1], got {level}")
 
     def f_eval(r):
-        return np.full_like(r, level)
+        return np.full_like(r, level)[()]  # [()] reads a 0-d array as its float
 
     return dict(profile=f_eval, tail=TailClass(TailKind.NON_DECAYING))
 
@@ -278,28 +267,22 @@ def from_descriptor(descriptor: Mapping) -> ShapeFunction:
     """Build a catalogued shape from its JSON descriptor
     ``{"scenario": "A|B|C|D|constant|powerTail|logDecay", "params": {...}}``;
     the builder's signature names the parameters and their defaults.  Raises
-    InvalidScenarioParams for a descriptor that is not a mapping, an unknown
-    scenario, missing or unknown parameters, a parameter that is not a
-    positive finite number (a boolean is not one), or inconsistent values."""
+    InvalidScenarioParams for a descriptor that is not a mapping or has no
+    scenario key, params that are not a mapping with string keys, or an
+    unknown scenario; the builder raises it, as ``_scenario`` says, for
+    missing or unknown parameters, a parameter that is not a positive finite
+    number (a boolean is not one), or inconsistent values."""
     if not isinstance(descriptor, Mapping):
         raise InvalidScenarioParams(f"shape descriptor must be a mapping, got {descriptor!r}")
     if "scenario" not in descriptor:
         raise InvalidScenarioParams("shape descriptor needs a 'scenario' key")
     params = descriptor.get("params", {}) or {}
-    if not isinstance(params, Mapping):
-        raise InvalidScenarioParams("'params' must be a mapping")
+    if not isinstance(params, Mapping) or not all(isinstance(key, str) for key in params):
+        raise InvalidScenarioParams("'params' must be a mapping with string keys")
     scenario = str(descriptor["scenario"])
     if scenario not in _SCENARIOS:
         raise InvalidScenarioParams(f"unknown scenario {scenario!r}")
-    builder = _SCENARIOS[scenario]
-    signature = inspect.signature(builder).parameters
-    extra = set(params) - set(signature)
-    if extra:
-        raise InvalidScenarioParams(f"unknown parameters for {scenario}: {sorted(extra)}")
-    missing = [n for n, p in signature.items() if p.default is p.empty and n not in params]
-    if missing:
-        raise InvalidScenarioParams(f"scenario {scenario} needs parameters {missing}")
-    return builder(**params)
+    return _SCENARIOS[scenario](**params)
 
 
 def _number(scenario: str, param: str, value) -> float:

@@ -103,6 +103,14 @@ class TestTailMeanBound:
         assert bound == pytest.approx(2.0 * math.pi / (2.0 * 1e3**2), rel=1e-6)
 
 
+def _sampling_discs(name):
+    """(name, radius) cases: the support end, else 4 and 64 shape scales."""
+    shape = _SCENARIOS[name](**SCENARIO_PARAMS[name])
+    if shape.support_end is not None:
+        return [(name, shape.support_end)]
+    return [(name, k * shape.scale) for k in (4.0, 64.0)]
+
+
 class TestPointProcessSampler:
     def test_unconverged_mass_raises(self, monkeypatch):
         _unconverged(monkeypatch)
@@ -169,6 +177,22 @@ class TestPointProcessSampler:
 
         with pytest.raises(ip.DomainError):
             Distorted(ip.scenario_scattered(100.0), 1e-3, 2000.0)
+
+    @pytest.mark.parametrize("name, radius", [case for name in sorted(SCENARIO_PARAMS)
+                                              for case in _sampling_discs(name)])
+    def test_inverse_near_origin_holds_its_share(self, name, radius):
+        # the 64-bin check does not see the table's first cell: an inverse
+        # linear in u between 2^14 + 1 equal quantiles (uniform in r there,
+        # not proportional to r) passed it and missed these shares by 100%
+        shape = _SCENARIOS[name](**SCENARIO_PARAMS[name])
+        sampler = ip.PointProcessSampler(shape, 1e-3, radius)
+        mass = sampler.mean_count / (2.0 * math.pi * 1e-3)
+        levels = np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+        for u, r in zip(levels, sampler._inverse(levels)):
+            below, _ = quad(lambda x: x * float(shape.eval_f(x)), 0.0, r, epsabs=0.0,
+                            epsrel=1e-12, limit=200,
+                            points=[k for k in shape.knots if 0.0 < k < r] or None)
+            assert below / mass == pytest.approx(u, rel=1e-4)
 
     @pytest.mark.parametrize("lam, radius", [(math.nan, 100.0), (math.inf, 100.0),
                                              (1e-3, math.nan), (1e-3, math.inf)])

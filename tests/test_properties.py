@@ -34,7 +34,8 @@ FAMILIES = {
     "D": (lambda s, p: ip.scenario_carrier_sense(s**-4.0, 4.0), (4,)),
 }
 CASES = [(name, alpha) for name, (_, alphas) in FAMILIES.items() for alpha in alphas]
-# the exponents the angular kernel serves join the driving-function properties
+# the exponents the angular kernel serves join the driving, transform, outage
+# and tail-bound properties
 ANGULAR_ALPHAS = (2.5, 3, 5, 9)
 DRIVING_CASES = [*CASES, *((name, alpha) for name in FAMILIES for alpha in ANGULAR_ALPHAS)]
 
@@ -158,9 +159,9 @@ def test_subharmonic_region_scales(name, rho):
 
 # family name -> (builder from a scale, alphas with a finite mean)
 BOUND_FAMILIES = {
-    "C": (lambda s: ip.scenario_scattered(s), (2, 4)),
-    "powerTail": (lambda s: ip.power_tail_shape(2.0, s), (2, 4)),
-    "D": (lambda s: ip.scenario_carrier_sense(s**-4.0, 4.0), (4,)),
+    "C": (lambda s: ip.scenario_scattered(s), (2, 4, *ANGULAR_ALPHAS)),
+    "powerTail": (lambda s: ip.power_tail_shape(2.0, s), (2, 4, *ANGULAR_ALPHAS)),
+    "D": (lambda s: ip.scenario_carrier_sense(s**-4.0, 4.0), (4, *ANGULAR_ALPHAS)),
 }
 BOUND_CASES = [(name, alpha) for name, (_, alphas) in BOUND_FAMILIES.items()
                for alpha in alphas]
@@ -191,7 +192,7 @@ def test_tail_bounds_are_ordered_probabilities(case, scale, t, c, lam, z, fading
 
 
 @PROPERTIES
-@given(case=st.sampled_from(CASES), scale=scales, p=params, y0=offsets, c=constants,
+@given(case=st.sampled_from(DRIVING_CASES), scale=scales, p=params, y0=offsets, c=constants,
        lam=_decades(1e-6, 1e-1), s=_decades(1e-6, 1e6), ratio=_decades(1.0, 1e3))
 def test_laplace_transform_nonincreasing_in_s(case, scale, p, y0, c, lam, s, ratio):
     name, alpha = case
@@ -206,7 +207,7 @@ def test_laplace_transform_nonincreasing_in_s(case, scale, p, y0, c, lam, s, rat
 
 
 @PROPERTIES
-@given(case=st.sampled_from(CASES), scale=scales, p=params, t=st.floats(0.0, 3.0),
+@given(case=st.sampled_from(DRIVING_CASES), scale=scales, p=params, t=st.floats(0.0, 3.0),
        c=constants, lam=_decades(1e-6, 1e-1), d=_decades(1e-2, 1e2),
        beta=_decades(1e-2, 1e2), ratio=_decades(1.0, 1e3), eta_db=st.floats(-10.0, 40.0))
 def test_outage_nondecreasing_in_beta(case, scale, p, t, c, lam, d, beta, ratio, eta_db):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import isoppp as ip
 from isoppp import TailKind
 from isoppp.shapes import _SCENARIOS
-from conftest import SCENARIO_PARAMS, profile_slope
+from conftest import SCENARIO_PARAMS, profile_slope, rayleigh_channel
 
 
 class TestScenarios:
@@ -49,6 +49,17 @@ class TestScenarios:
             ip.scenario_carrier_sense(0.0, 4.0)
 
 
+@pytest.mark.parametrize("build, args, kwargs", [
+    (ip.scenario_scattered, (), {}),
+    (ip.scenario_scattered, (1.0, 2.0), {}),
+    (ip.scenario_finite_network, (), {"r0": 1}),
+], ids=["missing", "surplus", "missing-keyword"])
+def test_wrong_arity_is_invalid_params(build, args, kwargs):
+    # the registry's bind checks the arity of direct calls and descriptors alike
+    with pytest.raises(ip.InvalidScenarioParams, match="scenario [AC]: "):
+        build(*args, **kwargs)
+
+
 class TestConstant:
     def test_values(self):
         shape = ip.constant_shape(1.0)
@@ -84,6 +95,23 @@ class TestPowerTail:
             ip.power_tail_shape(-0.5, 1.0)
 
 
+_D80 = ip.scenario_carrier_sense(1e-5, 80.0)
+_LINK = ip.LinkConfig(1e-5, 1e4, 10.0, 1.0)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: _D80.eval_f(1e4), 1.0),
+    (lambda: ip.power_tail_shape(2.5, 50.0).eval_f(1e200), 0.0),
+    (lambda: ip.outage_approx(_D80, rayleigh_channel(4, 0.0), _LINK), 0.004922646068421613),
+    (lambda: ip.log_divergence(_D80, rayleigh_channel(4, 0.0), _LINK), 4.1314587055026444e-12),
+    (lambda: ip.lower_tail_bound(_D80, rayleigh_channel(4, 1.0), 1e-5, 1e4, 1e-3), 0.0),
+], ids=["D-eval", "powerTail-eval", "outage_approx", "log_divergence", "lower_tail_bound"])
+def test_scalar_radius_overflows_to_the_limit(call, expected):
+    # a Python-float radius reaches the profile as a float array, so r^alpha
+    # overflows to inf (F's limit) instead of raising OverflowError
+    assert call() == expected
+
+
 def _derivative_consistent(shape, radii, tol=1e-5):
     """|F(r+h) - F(r-h) - 2 h f(r)| <= tol h + tol h^2 with h = 1e-4 max(1, r),
     where f is the closed-form slope oracle.
@@ -116,6 +144,11 @@ ALL_SHAPES = [
 def test_derivative_matches_profile(shape):
     radii = [0.0, 0.5, 3.0, 17.0, 90.0, 333.0, 450.0, 501.0, 650.0, 1000.0]
     _derivative_consistent(shape, radii)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=lambda s: s.descriptor["scenario"])
+def test_scalar_radius_gives_a_float(shape):
+    assert isinstance(shape.eval_f(5.0), float)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=lambda s: s.descriptor["scenario"])
@@ -262,6 +295,10 @@ class TestDescriptor:
     def test_unknown_params(self):
         with pytest.raises(ip.InvalidScenarioParams):
             ip.from_descriptor({"scenario": "C", "params": {"rho": 1, "junk": 2}})
+
+    def test_non_string_key(self):
+        with pytest.raises(ip.InvalidScenarioParams, match="string keys"):
+            ip.from_descriptor({"scenario": "C", "params": {1: 2}})
 
     def test_missing_scenario_key(self):
         with pytest.raises(ip.InvalidScenarioParams, match="needs a 'scenario' key"):
