@@ -42,7 +42,6 @@ from .errors import (
     NonConvergence,
     NumericOverflow,
     OutsideRegion,
-    RequiresZeroC,
     UnsupportedAlpha,
 )
 from .mcsim import (

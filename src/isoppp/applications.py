@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 
 from .analytic import ChannelModel, FadingLaw, LinkConfig, _threshold, interference_driving
-from .errors import (DegenerateDenominator, DomainError, RequiresZeroC, UnsupportedAlpha,
-                     _check_finite, _check_positive)
+from .errors import (DegenerateDenominator, DomainError, UnsupportedAlpha, _check_finite,
+                     _check_positive)
 from .numerics import _converged
 from .outage import DEGENERATE_TOL, outage_exact
 from .shapes import ShapeFunction, scenario_carrier_sense
@@ -23,27 +23,29 @@ def local_transmission_capacity(
     """Density of successful transmissions around the receiver location that
     exhausts an outage budget ``epsilon``.
 
-    Solves 1 - exp(-lambda s A_alpha(y0, s)) = epsilon for lambda with
-    s = beta d^alpha and returns lambda (1 - epsilon):
+    With s = beta (c + d^alpha), the outage under Rayleigh fading is
+    1 - exp(-beta/eta) exp(-lambda s A_alpha(y0, s + c)).  Setting it to
+    epsilon and solving for lambda gives the capacity lambda (1 - epsilon):
 
-        -log(1 - epsilon) (1 - epsilon) / (beta d^alpha A_alpha(y0, beta d^alpha)).
+        (-log(1 - epsilon) - beta/eta) (1 - epsilon) / (s A_alpha(y0, s + c)).
 
-    Valid for Rayleigh fading, noise-free links and c = 0.
+    Raises DomainError when the noise alone exhausts the budget
+    (beta/eta >= -log(1 - epsilon)).
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("outage budget epsilon must lie in (0, 1)")
     if channel.fading.kind != "rayleigh":
         raise DomainError("transmission capacity closed form assumes Rayleigh fading")
-    if channel.c != 0:
-        raise RequiresZeroC("transmission capacity closed form requires c = 0")
-    if not math.isinf(link.eta):
-        raise DomainError("transmission capacity closed form assumes a noise-free link")
+    budget, noise = -math.log1p(-epsilon), link.beta / link.eta
+    if noise >= budget:
+        raise DomainError(f"the noise term beta/eta = {noise:g} exhausts the outage budget "
+                          f"-log(1 - epsilon) = {budget:g}")
     s = _threshold(link.beta, channel.c, link.d, channel.alpha)
-    a = _converged(interference_driving(shape, link.y0_norm, s, channel.alpha, tol),
+    a = _converged(interference_driving(shape, link.y0_norm, s + channel.c, channel.alpha, tol),
                    "driving-function")
     if s * a == 0.0:
         raise DegenerateDenominator("the interference exponent underflows to 0")
-    return -math.log1p(-epsilon) * (1.0 - epsilon) / (s * a)
+    return (budget - noise) * (1.0 - epsilon) / (s * a)
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,13 @@ def csma_accuracy_loss(
     The carrier-sense approximation describes the interferer field around
     the winning transmitter but applies it at the receiver, a distance d
     away.  This returns |P_o(0, d) - P_o(d, d)| / P_o(d, d) under the
-    carrier-sense profile with the thinned density (alpha = 4, c = 0,
-    Rayleigh, noise-free).
+    carrier-sense profile with the thinned density, both outages exact
+    (c = 0, Rayleigh, noise-free), for every alpha in (2, 9].  At alpha = 2
+    both outages are 1, so the study is empty there.
     """
-    if alpha != 4:
-        raise UnsupportedAlpha("the accuracy-loss study is defined for alpha = 4")
+    if alpha <= 2:
+        raise UnsupportedAlpha("the accuracy-loss study needs alpha > 2: at alpha = 2 and "
+                               "c = 0 every outage is 1")
     lam_active = csma_large_scale_density(lambda_potential, alpha, delta_sense)
     shape = csma_shape(delta_sense, alpha)
     channel = ChannelModel(alpha=alpha, c=0.0, fading=FadingLaw.rayleigh())

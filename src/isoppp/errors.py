@@ -18,11 +18,7 @@ class InvalidScenarioParams(DomainError):
 
 class UnsupportedAlpha(DomainError):
     """The path-loss exponent lies outside what an operation serves: the mean
-    and everything built on it take [2, 9]; some closed forms take one alpha."""
-
-
-class RequiresZeroC(DomainError):
-    """Operation is defined only for the unbounded path-loss model (c = 0)."""
+    and everything built on it take [2, 9]."""
 
 
 class OutsideRegion(DomainError):

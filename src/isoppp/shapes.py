@@ -276,7 +276,7 @@ def from_descriptor(descriptor: Mapping) -> ShapeFunction:
         raise InvalidScenarioParams(f"shape descriptor must be a mapping, got {descriptor!r}")
     if "scenario" not in descriptor:
         raise InvalidScenarioParams("shape descriptor needs a 'scenario' key")
-    params = descriptor.get("params", {}) or {}
+    params = descriptor.get("params", {})
     if not isinstance(params, Mapping) or not all(isinstance(key, str) for key in params):
         raise InvalidScenarioParams("'params' must be a mapping with string keys")
     scenario = str(descriptor["scenario"])

@@ -56,10 +56,15 @@ class TestLocalTransmissionCapacity:
         )
         assert back == pytest.approx(eps, abs=1e-9)
 
-    def test_nonzero_c_requires_zero_c(self):
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_nonzero_c_and_noise_round_trip(self, alpha):
+        # at lambda* = capacity / (1 - eps) the exact outage is eps, noise included
         shape = ip.scenario_scattered(100.0)
-        with pytest.raises(ip.RequiresZeroC):
-            ip.local_transmission_capacity(shape, rayleigh_channel(4, 1.0), _link(), 0.1)
+        ch = rayleigh_channel(alpha, 1.0)
+        link = ip.LinkConfig(1e-3, 20.0, 10.0, 0.5, 20.0)
+        capacity = ip.local_transmission_capacity(shape, ch, link, 0.1)
+        back = ip.outage_exact(shape, ch, ip.LinkConfig(capacity / 0.9, 20.0, 10.0, 0.5, 20.0))
+        assert back == pytest.approx(0.1, abs=1e-12)
 
     def test_divergent_shape_rejected(self):
         ch = rayleigh_channel(2, 0.0)
@@ -68,8 +73,11 @@ class TestLocalTransmissionCapacity:
 
     def test_preconditions(self):
         shape = ip.scenario_scattered(100.0)
-        with pytest.raises(ip.DomainError):
-            ip.local_transmission_capacity(shape, rayleigh_channel(2, 1.0), _link(), 0.1)
+        # c > 0 is served: the kernel is taken at s + c, s = beta (c + d^2)
+        s = 1.0 * (1.0 + 100.0)
+        a = ip.interference_driving(shape, 0.0, s + 1.0, 2).value
+        got = ip.local_transmission_capacity(shape, rayleigh_channel(2, 1.0), _link(), 0.1)
+        assert got == pytest.approx(-math.log(0.9) * 0.9 / (s * a), rel=1e-12)
         with pytest.raises(ip.DomainError):
             ip.local_transmission_capacity(shape, rayleigh_channel(2, 0.0), _link(), 1.5)
 
@@ -79,11 +87,16 @@ class TestLocalTransmissionCapacity:
         with pytest.raises(ip.DomainError, match="assumes Rayleigh fading"):
             ip.local_transmission_capacity(ip.scenario_scattered(100.0), ch, _link(), 0.1)
 
-    def test_noisy_link_rejected(self):
+    def test_noisy_link(self):
+        # beta/eta = 0.1 leaves -log(0.9) - 0.1 of the budget to interference
+        shape, ch = ip.scenario_scattered(100.0), rayleigh_channel(2, 0.0)
         link = ip.LinkConfig(1e-3, 0.0, 10.0, 1.0, 10.0)
-        with pytest.raises(ip.DomainError, match="assumes a noise-free link"):
-            ip.local_transmission_capacity(ip.scenario_scattered(100.0), rayleigh_channel(2, 0.0),
-                                           link, 0.1)
+        a = ip.interference_driving(shape, 0.0, 100.0, 2).value
+        got = ip.local_transmission_capacity(shape, ch, link, 0.1)
+        assert got == pytest.approx((-math.log(0.9) - 0.1) * 0.9 / (100.0 * a), rel=1e-12)
+        # at eps = 0.05 the noise alone exceeds the budget -log(0.95) = 0.0513
+        with pytest.raises(ip.DomainError, match="beta/eta = 0.1 exhausts the outage budget"):
+            ip.local_transmission_capacity(shape, ch, link, 0.05)
 
 
 class TestFhDsGain:

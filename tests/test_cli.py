@@ -204,12 +204,15 @@ class TestOtherCommands:
         assert config["delta"] == pytest.approx(1e-5)
         assert header == ["lambda_large_scale", "accuracy_loss"]
 
-    def test_divergence_eta_guard(self, capsys):
-        code, _, err = run_cli(
+    def test_divergence_on_a_noisy_link(self, capsys):
+        # the noise cancels in the log ratio; a constant density has none
+        code, out, _ = run_cli(
             capsys, "divergence", "--shape", "constant", "--alpha", "4",
             "--eta-db", "10",
         )
-        assert code == 2
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["value"] and float(rows[0][0]) == 0.0
 
     def test_divergence_sweep_dataset(self, capsys):
         # per-scenario divergence curves over receiver offsets

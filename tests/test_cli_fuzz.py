@@ -113,14 +113,16 @@ def test_sweep_spec_or_trial_count_exits_cleanly(argv):
 
 
 # descriptors that are not a mapping, a scenario key that names nothing, params
-# that are not a mapping, and parameters of C and constant that are not numbers
-# (a double overflows at 1e309)
+# that are not a mapping (falsy ones too), and parameters of C and constant that
+# are not numbers (a double overflows at 1e309)
 BAD_VALUES = ("null", "true", "false", "[100]", '{"rho": 100}', '"abc"', "1" + "0" * 309)
 MALFORMED = (
     "5", '"C"', "null", '[{"scenario": "C", "params": {"rho": 100}}]',
     '{"params": {"rho": 100}}', '{"scenario": null}', '{"scenario": ["C"]}',
     '{"scenario": {"C": 1}}', '{"scenario": "C", "params": [100]}',
     '{"scenario": "C", "params": 5}',
+    *(f'{{"scenario": "constant", "params": {value}}}' for value in ("[]", "0", "false", '""',
+                                                                    "null")),
     *(f'{{"scenario": "{name}", "params": {{"{param}": {value}}}}}'
       for name, param in (("C", "rho"), ("constant", "level")) for value in BAD_VALUES),
 )

@@ -81,10 +81,17 @@ class TestOutageApprox:
         with pytest.raises(ip.UnsupportedAlpha):
             ip.outage_approx(ip.constant_shape(1.0), ch, _link())
 
-    def test_nonzero_c_rejected(self):
+    def test_nonzero_c_and_noise(self):
+        # constant density: 1 - exp(-beta/eta) exp(-lambda s pi^2 / (2 sqrt(s + c))),
+        # s = beta (c + d^4), which is also the exact outage
         ch = rayleigh_channel(4, 1.0)
-        with pytest.raises(ip.RequiresZeroC):
-            ip.outage_approx(ip.constant_shape(1.0), ch, _link())
+        link = _link(beta=0.5, eta_db=10.0)
+        s = 0.5 * (1.0 + 10.0**4)
+        expected = -math.expm1(-1e-3 * s * math.pi**2 / (2.0 * math.sqrt(s + 1.0)) - 0.05)
+        value = ip.outage_approx(ip.constant_shape(1.0), ch, link)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(ip.outage_exact(ip.constant_shape(1.0), ch, link),
+                                      rel=1e-10)
 
 
 @pytest.mark.parametrize("closed_form", [ip.outage_approx, ip.log_divergence])
@@ -143,11 +150,14 @@ class TestLogDivergence:
     def test_preconditions(self):
         with pytest.raises(ip.UnsupportedAlpha):
             ip.log_divergence(ip.constant_shape(1.0), rayleigh_channel(2, 0.0), _link())
-        with pytest.raises(ip.RequiresZeroC):
-            ip.log_divergence(ip.constant_shape(1.0), rayleigh_channel(4, 1.0), _link())
-        with pytest.raises(ip.DomainError):
-            ip.log_divergence(ip.constant_shape(1.0), rayleigh_channel(4, 0.0),
-                              _link(eta_db=10.0))
+        with pytest.raises(ip.UnsupportedAlpha, match=r"in \(2, 9\]"):
+            ip.log_divergence(ip.constant_shape(1.0), rayleigh_channel(9.5, 0.0), _link())
+        # c > 0, noise and alpha != 4 are served: the approximation is exact for
+        # a constant density
+        for alpha, c, eta_db in ((4, 1.0, math.inf), (4, 0.0, 10.0), (3, 1.0, 10.0)):
+            gamma = ip.log_divergence(ip.constant_shape(1.0), rayleigh_channel(alpha, c),
+                                      _link(eta_db=eta_db))
+            assert abs(gamma) <= 1e-9
 
     def test_threshold_underflow_refused(self):
         # beta d^4 = 1e-400 rounds to 0, where the kernel's c must be positive
@@ -159,6 +169,15 @@ class TestRelativeError:
     def test_exact_in_stationary_case(self):
         ch = rayleigh_channel(4, 0.0)
         assert ip.relative_error(ip.constant_shape(1.0), ch, _link(y0=40.0)) <= 1e-12
+
+    @pytest.mark.parametrize("eta_db", [0.0, 10.0, 30.0])
+    @pytest.mark.parametrize("alpha", [3, 4])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_exact_in_stationary_case_with_noise(self, eta_db, alpha, c):
+        # both outages carry the noise factor exp(-beta/eta)
+        ch = rayleigh_channel(alpha, c)
+        link = ip.LinkConfig(1e-5, 0.0, 10.0, 1.0, eta_db)
+        assert ip.relative_error(ip.constant_shape(1.0), ch, link) <= 1e-9
 
     def test_carrier_sense_fails_at_origin(self):
         # the local approximation sees zero density at the origin and

@@ -218,3 +218,67 @@ def test_outage_nondecreasing_in_beta(case, scale, p, t, c, lam, d, beta, ratio,
     high = ip.outage_exact(shape, channel, ip.LinkConfig(lam, t * scale, d, beta * ratio, eta_db))
     assert 0.0 <= low <= 1.0 and 0.0 <= high <= 1.0
     assert high >= low - 1e-10
+
+
+# the local approximation and the capacity on the whole link model
+LINK_ALPHAS = (2.5, 3, 4, 5, 9)
+LINK_CONSTANTS = (0.0, 1e-3, 1.0)
+
+
+@PROPERTIES
+@given(alpha=st.sampled_from(LINK_ALPHAS), c=st.sampled_from(LINK_CONSTANTS),
+       level=st.floats(0.25, 1.0), y0=offsets, lam=_decades(1e-6, 1e-1),
+       d=_decades(1e-2, 1e2), beta=_decades(1e-2, 1e2),
+       eta_db=st.one_of(st.just(math.inf), st.floats(-10.0, 40.0)))
+def test_local_approximation_exact_for_a_constant_density(alpha, c, level, y0, lam, d, beta,
+                                                          eta_db):
+    # a stationary deployment is its own local approximation, noise included
+    shape, channel = ip.constant_shape(level), _channel(alpha, c)
+    link = ip.LinkConfig(lam, y0, d, beta, eta_db)
+    assert ip.outage_approx(shape, channel, link) == pytest.approx(
+        ip.outage_exact(shape, channel, link), abs=1e-10)
+
+
+@PROPERTIES
+@given(name=st.sampled_from(sorted(FAMILIES)), alpha=st.sampled_from(LINK_ALPHAS),
+       c=st.sampled_from(LINK_CONSTANTS), scale=scales, p=params, t=st.floats(0.0, 3.0),
+       d_over_scale=_decades(1e-2, 1e1), beta=_decades(0.1, 10.0),
+       eta_db=st.one_of(st.just(math.inf), st.floats(10.0, 40.0)), x=st.floats(0.05, 3.0))
+def test_log_divergence_is_the_log_ratio_of_the_outages(name, alpha, c, scale, p, t,
+                                                        d_over_scale, beta, eta_db, x):
+    # lambda puts the larger of the two interference exponents at x, so that
+    # neither 1 - P is too small to take its log; gamma does not depend on it
+    shape, channel = FAMILIES[name][0](scale, p), _channel(alpha, c)
+    y0, d = t * scale, d_over_scale * scale
+    s = beta * (c + d**alpha)
+    exact = s * ip.interference_driving(shape, y0, s + c, alpha).value
+    stationary = (float(shape.eval_f(y0)) * s * (s + c) ** (2.0 / alpha - 1.0)
+                  * (2.0 * math.pi**2 / alpha) / math.sin(2.0 * math.pi / alpha))
+    lam = x / max(exact, stationary)
+    link = ip.LinkConfig(lam, y0, d, beta, eta_db)
+    gamma = ip.log_divergence(shape, channel, link)
+    if abs(lam * gamma) < 1e-3:
+        return  # the log ratio cancels to fewer digits than the check asks
+    p_exact = ip.outage_exact(shape, channel, link)
+    p_approx = ip.outage_approx(shape, channel, link)
+    assert gamma == pytest.approx(math.log((1.0 - p_exact) / (1.0 - p_approx)) / lam, rel=1e-8)
+
+
+@PROPERTIES
+@given(case=st.sampled_from([case for case in DRIVING_CASES if case[1] in (2, 3, 4)]),
+       scale=scales, p=params, t=st.floats(0.0, 3.0), c=constants,
+       d=_decades(1e-2, 1e2), beta=_decades(1e-2, 1e2), eta_db=st.floats(-10.0, 40.0),
+       epsilon=st.floats(0.01, 0.9))
+def test_capacity_round_trip_with_c_and_noise(case, scale, p, t, c, d, beta, eta_db, epsilon):
+    # at lambda* = capacity / (1 - eps) the exact outage is eps, unless the
+    # noise alone exhausts the budget
+    name, alpha = case
+    shape, channel = FAMILIES[name][0](scale, p), _channel(alpha, c)
+    link = ip.LinkConfig(1e-3, t * scale, d, beta, eta_db)
+    if beta / link.eta >= -math.log1p(-epsilon):
+        with pytest.raises(ip.DomainError, match="exhausts the outage budget"):
+            ip.local_transmission_capacity(shape, channel, link, epsilon)
+        return
+    capacity = ip.local_transmission_capacity(shape, channel, link, epsilon)
+    implied = ip.LinkConfig(capacity / (1.0 - epsilon), t * scale, d, beta, eta_db)
+    assert ip.outage_exact(shape, channel, implied) == pytest.approx(epsilon, abs=1e-12)

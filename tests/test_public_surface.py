@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "ChannelModel", "DegenerateDenominator", "DivergentIntegral", "DomainError", "FadingLaw",
     "FhDsGain", "FinitenessVerdict", "IntegralResult", "InvalidScenarioParams",
     "IsopppError", "LinkConfig", "NoFiniteTruncation", "NonConvergence", "NumericOverflow",
-    "OutsideRegion", "PointProcessSampler", "RadialRegion", "RequiresZeroC", "ShapeFunction",
+    "OutsideRegion", "PointProcessSampler", "RadialRegion", "ShapeFunction",
     "SimConfig", "SimOutcome", "TailClass", "TailKind", "TruncationResult", "UnsupportedAlpha",
     "classify_finiteness", "constant_shape", "csma_accuracy_loss", "csma_large_scale_density",
     "fh_ds_gain", "from_descriptor", "integrate_interval", "integrate_semi_infinite",
