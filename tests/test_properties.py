@@ -247,7 +247,10 @@ def test_local_approximation_exact_for_a_constant_density(alpha, c, level, y0, l
 def test_log_divergence_is_the_log_ratio_of_the_outages(name, alpha, c, scale, p, t,
                                                         d_over_scale, beta, eta_db, x):
     # lambda puts the larger of the two interference exponents at x, so that
-    # neither 1 - P is too small to take its log; gamma does not depend on it
+    # neither 1 - P is too small to take its log; gamma does not depend on it.
+    # The log ratio lambda gamma, at least 1e-3, is a difference of exponents up
+    # to x = 3, so it amplifies the exact outage's quadrature error up to 3000
+    # times: hence its tol of 1e-12
     shape, channel = FAMILIES[name][0](scale, p), _channel(alpha, c)
     y0, d = t * scale, d_over_scale * scale
     s = beta * (c + d**alpha)
@@ -259,7 +262,7 @@ def test_log_divergence_is_the_log_ratio_of_the_outages(name, alpha, c, scale, p
     gamma = ip.log_divergence(shape, channel, link)
     if abs(lam * gamma) < 1e-3:
         return  # the log ratio cancels to fewer digits than the check asks
-    p_exact = ip.outage_exact(shape, channel, link)
+    p_exact = ip.outage_exact(shape, channel, link, 1e-12)
     p_approx = ip.outage_approx(shape, channel, link)
     assert gamma == pytest.approx(math.log((1.0 - p_exact) / (1.0 - p_approx)) / lam, rel=1e-8)
 
